@@ -1,11 +1,9 @@
-//! Baseline GF(2^m) bit-parallel multiplier generators.
+//! Extra-paper GF(2^m) bit-parallel multiplier generators.
 //!
-//! The three published architectures the paper's Table V compares
-//! against — [`MastrovitoPaar`] (\[2\]), [`Rashidi`] (\[8\]) and
-//! [`ReyhaniHasan`] (\[3\]) — now live in [`rgf2m_core::gen`] behind the
-//! unified [`rgf2m_core::Method`] registry, so a single enum covers the
-//! whole Table V row order. This crate re-exports them under their
-//! historical paths and keeps the two *extra-paper* references:
+//! The six Table V methods, including the three published baselines
+//! the paper compares against (\[2\], \[8\], \[3\]), live in
+//! [`rgf2m_core::gen`] behind the [`rgf2m_core::Method`] registry. This
+//! crate keeps the two references outside the paper:
 //!
 //! * [`School`] — a deliberately naive two-step multiplier (chained
 //!   XOR accumulation) kept as a structural worst-case reference for
@@ -18,14 +16,14 @@
 //! ```
 //! use gf2m::Field;
 //! use gf2poly::TypeIiPentanomial;
-//! use rgf2m_baselines::ReyhaniHasan;
+//! use rgf2m_baselines::{Karatsuba, School};
 //! use rgf2m_core::MultiplierGenerator;
 //!
 //! let field = Field::from_pentanomial(&TypeIiPentanomial::new(8, 2)?);
-//! let net = ReyhaniHasan.generate(&field);
-//! // The paper cites 77 XOR gates for [3] at (m, n) = (8, 2); our
-//! // builder shares one repeated pair node, landing at 76.
-//! assert_eq!(net.stats().xors, 76);
+//! // The schoolbook method forms all m² = 64 partial products;
+//! // recursing down to 2 coordinates trades some for extra XORs.
+//! assert_eq!(School.generate(&field).stats().ands, 64);
+//! assert!(Karatsuba::new(2).generate(&field).stats().ands < 64);
 //! # Ok::<(), gf2poly::PentanomialError>(())
 //! ```
 
@@ -37,8 +35,3 @@ mod school;
 
 pub use karatsuba::Karatsuba;
 pub use school::School;
-
-// Re-homed into the `rgf2m_core` registry (see `rgf2m_core::Method`);
-// re-exported here so downstream `rgf2m_baselines::*` imports keep
-// compiling during the migration.
-pub use rgf2m_core::{coefficient_support, MastrovitoPaar, Rashidi, ReyhaniHasan};

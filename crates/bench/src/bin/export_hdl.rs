@@ -6,7 +6,7 @@
 //!
 //! Prints the chosen backend's output to stdout (pipe it to a file).
 
-use rgf2m_baselines::{Karatsuba, MastrovitoPaar, Rashidi, ReyhaniHasan, School};
+use rgf2m_baselines::{Karatsuba, School};
 use rgf2m_bench::field_for;
 use rgf2m_core::gen::MultiplierGenerator;
 use rgf2m_core::Method;
@@ -29,18 +29,15 @@ fn main() {
         }
     };
     let generator: Box<dyn MultiplierGenerator> = match method {
-        "mastrovito" => Box::new(MastrovitoPaar),
-        "rashidi" => Box::new(Rashidi),
-        "reyhani_hasan" => Box::new(ReyhaniHasan),
-        "imana2012" => Method::Imana2012.generator(),
-        "imana2016" => Method::Imana2016.generator(),
-        "proposed" => Method::ProposedFlat.generator(),
         "karatsuba" => Box::new(Karatsuba::default()),
         "school" => Box::new(School),
-        other => {
-            eprintln!("unknown method '{other}'");
-            std::process::exit(2);
-        }
+        other => match Method::from_name(other) {
+            Some(method) => method.generator(),
+            None => {
+                eprintln!("unknown method '{other}'");
+                std::process::exit(2);
+            }
+        },
     };
     let field = field_for(m, n);
     let net = generator.generate(&field);

@@ -1,202 +1,31 @@
-//! Exact per-method Table V gate-count formulas (#AND, #XOR) — the
-//! static *area* certificate, counterpart of [`crate::spec::delay_spec`].
+//! Exact per-method Table V gate counts (#AND, #XOR) — the static
+//! *area* certificate, counterpart of [`crate::spec::delay_spec`].
 //!
 //! A closed-form count like `m²` ANDs or `Σ_k (|d_k| − 1)` XORs cannot
 //! be exact, because the hash-consing [`netlist::Netlist`] builder
 //! shares every structurally repeated gate across coefficients (the
 //! paper itself notes repeated terms "could be shared, therefore
 //! reducing the space requirements" — e.g. \[3\] at GF(2^8) measures
-//! 76 XORs, not the naive 77). [`area_spec`] therefore *replays* each
-//! generator's construction over a lightweight symbolic interner
-//! (`CountNet`) that reproduces the builder's id allocation, operand
-//! normalization, constant folding and structural deduplication — but
-//! allocates no gates, only counts them. The replay is exact: every
-//! generator's netlist holds gate-for-gate the counts the spec
-//! predicts, which is what [`netlist::check_area`] (and the FPGA
-//! pipeline's `verify_area`) certifies.
+//! 76 XORs, not the naive 77). Exact sharing needs the builder's own
+//! interning, so [`area_spec`] counts the gates of a fresh build of the
+//! method's one construction. Certifying a netlist against it
+//! ([`netlist::check_area`], the FPGA pipeline's `verify_area`) proves
+//! the netlist holds no gate beyond that build: a duplicated,
+//! rewritten-in or injected gate fails.
 
-use std::collections::HashMap;
-
-use gf2m::{Field, MastrovitoMatrix};
+use gf2m::Field;
 use netlist::census::AreaSpec;
 
-use crate::coeffs::{CoefficientTable, FlatCoefficientTable};
-use crate::gen::{coefficient_support, Method};
-use crate::sit::SiTi;
-use crate::terms::{d_terms, ProductTerm};
-
-/// A symbolic mirror of [`netlist::Netlist`]'s construction semantics
-/// that counts gates instead of materializing them.
-///
-/// Node ids are allocated in the same order the real builder allocates
-/// them (`2m` inputs first, then constants/gates at first creation),
-/// operands are normalized `lhs ≤ rhs`, constants fold by the same
-/// rules, and `(op, lhs, rhs)` triples are interned — so the XOR-depth
-/// bookkeeping and the `(depth, id)` heap keys of the depth-aware tree
-/// builder reproduce the real netlist's tie-breaking exactly.
-#[derive(Debug)]
-struct CountNet {
-    /// `Some(v)` for a constant node, `None` for inputs and gates.
-    consts: Vec<Option<bool>>,
-    /// Per-node XOR depth, as `netlist::analysis::node_depths` reports
-    /// it (only the XOR component matters to the depth-aware builder).
-    xor_depth: Vec<u32>,
-    dedup: HashMap<(bool, u32, u32), u32>,
-    const_ids: [Option<u32>; 2],
-    ands: usize,
-    xors: usize,
-}
-
-impl CountNet {
-    /// A fresh interner holding the `2m`-input interface.
-    fn new(num_inputs: usize) -> CountNet {
-        CountNet {
-            consts: vec![None; num_inputs],
-            xor_depth: vec![0; num_inputs],
-            dedup: HashMap::new(),
-            const_ids: [None, None],
-            ands: 0,
-            xors: 0,
-        }
-    }
-
-    fn push(&mut self, is_const: Option<bool>, xor_depth: u32) -> u32 {
-        let id = u32::try_from(self.consts.len()).expect("count net exceeds u32 nodes");
-        self.consts.push(is_const);
-        self.xor_depth.push(xor_depth);
-        id
-    }
-
-    fn constant(&mut self, v: bool) -> u32 {
-        if let Some(id) = self.const_ids[usize::from(v)] {
-            return id;
-        }
-        let id = self.push(Some(v), 0);
-        self.const_ids[usize::from(v)] = Some(id);
-        id
-    }
-
-    fn intern(&mut self, is_and: bool, a: u32, b: u32) -> u32 {
-        if let Some(&id) = self.dedup.get(&(is_and, a, b)) {
-            return id;
-        }
-        let (xa, xb) = (self.xor_depth[a as usize], self.xor_depth[b as usize]);
-        let depth = if is_and { xa.max(xb) } else { xa.max(xb) + 1 };
-        let id = self.push(None, depth);
-        self.dedup.insert((is_and, a, b), id);
-        if is_and {
-            self.ands += 1;
-        } else {
-            self.xors += 1;
-        }
-        id
-    }
-
-    /// Mirrors [`netlist::Netlist::and`], folding rules in source order.
-    fn and(&mut self, a: u32, b: u32) -> u32 {
-        let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        match (self.consts[a as usize], self.consts[b as usize]) {
-            (Some(false), _) | (_, Some(false)) => self.constant(false),
-            (Some(true), _) => b,
-            (_, Some(true)) => a,
-            _ if a == b => a,
-            _ => self.intern(true, a, b),
-        }
-    }
-
-    /// Mirrors [`netlist::Netlist::xor`], folding rules in source order.
-    fn xor(&mut self, a: u32, b: u32) -> u32 {
-        let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        if a == b {
-            return self.constant(false);
-        }
-        match (self.consts[a as usize], self.consts[b as usize]) {
-            (Some(false), _) => b,
-            (_, Some(false)) => a,
-            (Some(true), Some(true)) => self.constant(false),
-            _ => self.intern(false, a, b),
-        }
-    }
-
-    /// Mirrors [`netlist::Netlist::xor_balanced`]'s layered `chunks(2)`.
-    fn xor_balanced(&mut self, nodes: &[u32]) -> u32 {
-        match nodes {
-            [] => self.constant(false),
-            [single] => *single,
-            _ => {
-                let mut layer = nodes.to_vec();
-                while layer.len() > 1 {
-                    let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-                    for pair in layer.chunks(2) {
-                        next.push(match pair {
-                            [x, y] => self.xor(*x, *y),
-                            [x] => *x,
-                            _ => unreachable!(),
-                        });
-                    }
-                    layer = next;
-                }
-                layer[0]
-            }
-        }
-    }
-
-    /// Mirrors [`netlist::Netlist::xor_depth_aware`]: depths snapshot
-    /// at call start, min-heap on `(xor depth, id)`, synthetic
-    /// `max + 1` keys for merged nodes. Matching id allocation makes
-    /// the deterministic tie-breaks identical to the real builder's.
-    fn xor_depth_aware(&mut self, nodes: &[u32]) -> u32 {
-        if nodes.is_empty() {
-            return self.constant(false);
-        }
-        let depths = self.xor_depth.clone();
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>> = nodes
-            .iter()
-            .map(|&n| std::cmp::Reverse((depths[n as usize], n)))
-            .collect();
-        while heap.len() > 1 {
-            let std::cmp::Reverse((d1, n1)) = heap.pop().expect("len > 1");
-            let std::cmp::Reverse((d2, n2)) = heap.pop().expect("len > 1");
-            let merged = self.xor(n1, n2);
-            heap.push(std::cmp::Reverse((d1.max(d2) + 1, merged)));
-        }
-        let std::cmp::Reverse((_, root)) = heap.pop().expect("nonempty");
-        root
-    }
-
-    /// Mirrors `MulCircuit::term`: `x_k = a_k b_k`,
-    /// `z^j_i = a_i b_j + a_j b_i`, with `a_i` at id `i` and `b_j` at
-    /// id `m + j`.
-    fn term(&mut self, m: usize, t: &ProductTerm) -> u32 {
-        match *t {
-            ProductTerm::X(k) => self.and(k as u32, (m + k) as u32),
-            ProductTerm::Z { i, j } => {
-                let p = self.and(i as u32, (m + j) as u32);
-                let q = self.and(j as u32, (m + i) as u32);
-                self.xor(p, q)
-            }
-        }
-    }
-
-    fn terms(&mut self, m: usize, terms: &[ProductTerm]) -> Vec<u32> {
-        terms.iter().map(|t| self.term(m, t)).collect()
-    }
-
-    fn spec(&self) -> AreaSpec {
-        AreaSpec::new(self.ands, self.xors)
-    }
-}
+use crate::gen::{generate, Method};
 
 /// Derives the expected per-kind gate counts — the paper's Table V
 /// `#AND`/`#XOR` area formula — for `method` over `field`.
 ///
-/// Exact by construction: the replay performs the same sequence of
-/// `and`/`xor`/tree calls the generator performs, through an interner
-/// with the same folding and sharing semantics, so the resulting spec
-/// *equals* the generated netlist's [`netlist::Stats`] counts (tested
-/// across the catalogued Table V fields). [`netlist::check_area`] still
-/// treats the spec as an upper bound, so rewrites that shrink a netlist
-/// keep passing.
+/// The counts are those of a fresh [`generate`] build, so they *equal*
+/// the generated netlist's [`netlist::Stats`] counts; golden values pin
+/// them across the catalogued Table V fields. [`netlist::check_area`]
+/// still treats the spec as an upper bound, so rewrites that shrink a
+/// netlist keep passing.
 ///
 /// # Examples
 ///
@@ -213,156 +42,18 @@ impl CountNet {
 /// # Ok::<(), gf2poly::PentanomialError>(())
 /// ```
 pub fn area_spec(field: &Field, method: Method) -> AreaSpec {
-    let m = field.m();
-    let a = |i: usize| i as u32;
-    let b = |j: usize| (m + j) as u32;
-    let mut net = CountNet::new(2 * m);
-    match method {
-        Method::MastrovitoPaar => {
-            // Per row k: each nonzero matrix entry is a balanced XOR
-            // sum of `a` inputs ANDed with b_j, rows accumulate as
-            // balanced trees (sums shared across the matrix by
-            // interning, exactly as the generator's hash-consing does).
-            let matrix = MastrovitoMatrix::new(field);
-            for k in 0..m {
-                let mut row_terms = Vec::new();
-                for j in 0..m {
-                    let entry = matrix.entry(k, j);
-                    if entry.is_empty() {
-                        continue;
-                    }
-                    let sum_nodes: Vec<u32> = entry.iter().map(|&i| a(i)).collect();
-                    let entry_node = net.xor_balanced(&sum_nodes);
-                    row_terms.push(net.and(entry_node, b(j)));
-                }
-                net.xor_balanced(&row_terms);
-            }
-        }
-        Method::Rashidi => {
-            // One balanced tree per coefficient over its flattened
-            // support; only the m² AND plane is shared.
-            for k in 0..m {
-                let products: Vec<u32> = coefficient_support(field, k)
-                    .into_iter()
-                    .map(|(i, j)| net.and(a(i), b(j)))
-                    .collect();
-                net.xor_balanced(&products);
-            }
-        }
-        Method::ReyhaniHasan => {
-            // Shared antidiagonal d_t trees over raw products, then a
-            // balanced reduction tree per coefficient.
-            let red = field.reduction_matrix();
-            let mut d_nodes = Vec::with_capacity(2 * m - 1);
-            for k in 0..=2 * m - 2 {
-                let mut pairs: Vec<(usize, usize)> =
-                    d_terms(m, k).iter().flat_map(|t| t.products()).collect();
-                pairs.sort_unstable();
-                let products: Vec<u32> = pairs
-                    .into_iter()
-                    .map(|(i, j)| net.and(a(i), b(j)))
-                    .collect();
-                d_nodes.push(net.xor_balanced(&products));
-            }
-            for k in 0..m {
-                let mut parts = vec![d_nodes[k]];
-                for t in 0..m - 1 {
-                    if red.entry(k, t) {
-                        parts.push(d_nodes[m + t]);
-                    }
-                }
-                net.xor_balanced(&parts);
-            }
-        }
-        Method::Imana2012 => {
-            // Monolithic S_i/T_i units as balanced trees over their
-            // terms, coefficients as balanced trees over whole units.
-            let sit = SiTi::new(m);
-            let table = CoefficientTable::new(field);
-            let mut s_units = Vec::with_capacity(m);
-            for i in 1..=m {
-                let nodes = net.terms(m, sit.s(i));
-                s_units.push(net.xor_balanced(&nodes));
-            }
-            let mut t_units = Vec::with_capacity(m - 1);
-            for i in 0..=m - 2 {
-                let nodes = net.terms(m, sit.t(i));
-                t_units.push(net.xor_balanced(&nodes));
-            }
-            for k in 0..m {
-                let row = table.row(k);
-                let mut units = vec![s_units[row.s_index - 1]];
-                units.extend(row.t_indices.iter().map(|&i| t_units[i]));
-                net.xor_balanced(&units);
-            }
-        }
-        Method::Imana2016 | Method::ProposedFlat => {
-            // Split atoms (balanced trees over their terms) combined
-            // per coefficient: depth-aware Huffman pairing for [7],
-            // plain balanced combination for the proposed method.
-            let table = FlatCoefficientTable::new(field);
-            for k in 0..m {
-                let mut nodes = Vec::new();
-                for atom in table.atoms(k) {
-                    let terms = net.terms(m, atom.terms());
-                    nodes.push(net.xor_balanced(&terms));
-                }
-                if method == Method::Imana2016 {
-                    net.xor_depth_aware(&nodes);
-                } else {
-                    net.xor_balanced(&nodes);
-                }
-            }
-        }
-    }
-    net.spec()
+    AreaSpec::of(&generate(field, method))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::generate;
-    use gf2poly::{Gf2Poly, TypeIiPentanomial};
+    use crate::gen::coefficient_support;
+    use gf2poly::Gf2Poly;
     use netlist::check_area;
 
     fn gf256() -> Field {
         Field::new(Gf2Poly::from_exponents(&[8, 4, 3, 2, 0])).unwrap()
-    }
-
-    fn assert_exact(field: &Field, label: &str) {
-        for method in Method::ALL {
-            let spec = area_spec(field, method);
-            let stats = generate(field, method).stats();
-            assert_eq!(
-                (stats.ands, stats.xors),
-                (spec.ands(), spec.xors()),
-                "{method:?} at {label}: measured counts differ from area_spec"
-            );
-        }
-    }
-
-    #[test]
-    fn area_spec_is_exact_for_every_method_at_gf256() {
-        // Not an upper bound: gate-for-gate equality.
-        assert_exact(&gf256(), "(8,2)");
-    }
-
-    #[test]
-    fn area_spec_is_exact_on_small_fields() {
-        for (m, n) in [(7usize, 2usize), (16, 3)] {
-            let field = Field::from_pentanomial(&TypeIiPentanomial::new(m, n).unwrap());
-            assert_exact(&field, &format!("({m},{n})"));
-        }
-    }
-
-    #[test]
-    fn area_spec_is_exact_on_catalogued_large_fields() {
-        // A spread of the paper's Table V fields, including m = 163
-        // (the acceptance bar for the area certificate).
-        for (m, n) in [(64usize, 23usize), (113, 34), (163, 66)] {
-            let field = Field::from_pentanomial(&TypeIiPentanomial::new(m, n).unwrap());
-            assert_exact(&field, &format!("({m},{n})"));
-        }
     }
 
     #[test]

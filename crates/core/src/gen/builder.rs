@@ -2,31 +2,45 @@
 
 use netlist::{Netlist, NodeId};
 
+use crate::gen::GateSink;
 use crate::split::SplitAtom;
 use crate::terms::ProductTerm;
 
-/// A multiplier netlist under construction: the standard `a`/`b` input
-/// vectors plus helpers to materialize the paper's term vocabulary
-/// (partial products, `x_k`/`z^j_i` terms, split atoms) as gates.
+/// A multiplier under construction in a [`GateSink`]: the standard
+/// `a`/`b` input vectors plus helpers to materialize the paper's term
+/// vocabulary (partial products, `x_k`/`z^j_i` terms, split atoms) as
+/// gates.
 ///
-/// Thanks to hash-consing in [`Netlist`], repeated requests for the same
-/// product/term/atom return the same node — sharing across coefficients
-/// comes for free, mirroring the paper's remark that repeated terms
-/// "could be shared, therefore reducing the space requirements".
+/// In a [`Netlist`] (the default sink), hash-consing makes repeated
+/// requests for the same product/term/atom return the same node —
+/// sharing across coefficients comes for free, mirroring the paper's
+/// remark that repeated terms "could be shared, therefore reducing the
+/// space requirements".
 #[derive(Debug)]
-pub struct MulCircuit {
-    net: Netlist,
-    a: Vec<NodeId>,
-    b: Vec<NodeId>,
+pub struct MulCircuit<S: GateSink = Netlist> {
+    sink: S,
+    a: Vec<S::Node>,
+    b: Vec<S::Node>,
 }
 
 impl MulCircuit {
-    /// Creates the skeleton with inputs `a0..a{m−1}, b0..b{m−1}`.
+    /// Creates a netlist named `name` with inputs `a0..a{m−1}, b0..b{m−1}`.
     pub fn new(m: usize, name: impl Into<String>) -> Self {
-        let mut net = Netlist::new(name);
-        let a = (0..m).map(|i| net.input(format!("a{i}"))).collect();
-        let b = (0..m).map(|i| net.input(format!("b{i}"))).collect();
-        MulCircuit { net, a, b }
+        MulCircuit::with_sink(Netlist::new(name), m)
+    }
+
+    /// Registers output `c{k}`.
+    pub fn output(&mut self, k: usize, node: NodeId) {
+        self.sink.output(format!("c{k}"), node);
+    }
+}
+
+impl<S: GateSink> MulCircuit<S> {
+    /// Adds inputs `a0..a{m−1}, b0..b{m−1}` to `sink`.
+    pub(crate) fn with_sink(mut sink: S, m: usize) -> Self {
+        let a = (0..m).map(|i| sink.input(format!("a{i}"))).collect();
+        let b = (0..m).map(|i| sink.input(format!("b{i}"))).collect();
+        MulCircuit { sink, a, b }
     }
 
     /// The number of coordinates `m`.
@@ -39,7 +53,7 @@ impl MulCircuit {
     /// # Panics
     ///
     /// Panics if `i ≥ m`.
-    pub fn a_input(&self, i: usize) -> NodeId {
+    pub fn a_input(&self, i: usize) -> S::Node {
         self.a[i]
     }
 
@@ -48,7 +62,7 @@ impl MulCircuit {
     /// # Panics
     ///
     /// Panics if `j ≥ m`.
-    pub fn b_input(&self, j: usize) -> NodeId {
+    pub fn b_input(&self, j: usize) -> S::Node {
         self.b[j]
     }
 
@@ -57,48 +71,43 @@ impl MulCircuit {
     /// # Panics
     ///
     /// Panics if `i` or `j` is out of range.
-    pub fn product(&mut self, i: usize, j: usize) -> NodeId {
-        self.net.and(self.a[i], self.b[j])
+    pub fn product(&mut self, i: usize, j: usize) -> S::Node {
+        self.sink.and(self.a[i], self.b[j])
     }
 
     /// The node of a product term: `x_k = a_k b_k` or
     /// `z^j_i = a_i b_j + a_j b_i`.
-    pub fn term(&mut self, t: &ProductTerm) -> NodeId {
+    pub fn term(&mut self, t: &ProductTerm) -> S::Node {
         match *t {
             ProductTerm::X(k) => self.product(k, k),
             ProductTerm::Z { i, j } => {
                 let p = self.product(i, j);
                 let q = self.product(j, i);
-                self.net.xor(p, q)
+                self.sink.xor(p, q)
             }
         }
     }
 
     /// The nodes of a list of terms, in order.
-    pub fn term_nodes(&mut self, terms: &[ProductTerm]) -> Vec<NodeId> {
+    pub fn term_nodes(&mut self, terms: &[ProductTerm]) -> Vec<S::Node> {
         terms.iter().map(|t| self.term(t)).collect()
     }
 
     /// The node of a split atom `S^j_i`/`T^j_i`: a complete balanced XOR
     /// tree over its `2^j` products (depth exactly `j`).
-    pub fn atom(&mut self, atom: &SplitAtom) -> NodeId {
+    pub fn atom(&mut self, atom: &SplitAtom) -> S::Node {
         let nodes = self.term_nodes(atom.terms());
-        self.net.xor_balanced(&nodes)
+        self.sink.xor_balanced(&nodes)
     }
 
-    /// Direct access to the underlying netlist builder.
-    pub fn net_mut(&mut self) -> &mut Netlist {
-        &mut self.net
+    /// Direct access to the underlying sink.
+    pub fn net_mut(&mut self) -> &mut S {
+        &mut self.sink
     }
 
-    /// Registers output `c{k}` and returns `self` for chaining.
-    pub fn output(&mut self, k: usize, node: NodeId) {
-        self.net.output(format!("c{k}"), node);
-    }
-
-    /// Finishes construction, returning the netlist.
-    pub fn finish(self) -> Netlist {
-        self.net
+    /// Finishes construction, returning the sink.
+    pub fn finish(self) -> S {
+        self.sink
     }
 }
 

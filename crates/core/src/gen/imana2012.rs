@@ -4,8 +4,9 @@ use gf2m::Field;
 use netlist::Netlist;
 
 use crate::coeffs::CoefficientTable;
-use crate::gen::{MulCircuit, MultiplierGenerator};
+use crate::gen::{GateSink, Method, MulCircuit, MultiplierGenerator};
 use crate::sit::SiTi;
+use crate::terms::ProductTerm;
 
 /// Generator for the method of \[6\]: each `S_i`/`T_i` is built as one
 /// *monolithic* balanced XOR tree over its product terms, and each
@@ -20,43 +21,39 @@ pub struct Imana2012;
 
 impl MultiplierGenerator for Imana2012 {
     fn name(&self) -> &'static str {
-        "imana2012"
+        Method::Imana2012.name()
     }
 
     fn citation(&self) -> &'static str {
-        "[6]"
+        Method::Imana2012.citation()
     }
 
     fn generate(&self, field: &Field) -> Netlist {
-        let m = field.m();
-        let sit = SiTi::new(m);
-        let table = CoefficientTable::new(field);
-        let mut circuit = MulCircuit::new(m, format!("mul_imana2012_m{m}"));
+        Method::Imana2012.netlist(field, "imana2012")
+    }
+}
 
-        // Build every S_i / T_i unit once (hash-consing shares them
-        // across coefficients automatically).
-        let s_units: Vec<_> = (1..=m)
-            .map(|i| {
-                let nodes = circuit.term_nodes(sit.s(i));
-                circuit.net_mut().xor_balanced(&nodes)
-            })
-            .collect();
-        let t_units: Vec<_> = (0..=m - 2)
-            .map(|i| {
-                let nodes = circuit.term_nodes(sit.t(i));
-                circuit.net_mut().xor_balanced(&nodes)
-            })
-            .collect();
-
-        for k in 0..m {
+/// [`Imana2012`]'s construction in any sink: returns `c_0..c_{m−1}`.
+pub(super) fn build<S: GateSink>(field: &Field, circuit: &mut MulCircuit<S>) -> Vec<S::Node> {
+    let m = field.m();
+    let sit = SiTi::new(m);
+    let table = CoefficientTable::new(field);
+    // Build every S_i / T_i unit once (hash-consing shares them across
+    // coefficients automatically).
+    let mut unit = |terms: &[ProductTerm]| {
+        let nodes = circuit.term_nodes(terms);
+        circuit.net_mut().xor_balanced(&nodes)
+    };
+    let s_units: Vec<_> = (1..=m).map(|i| unit(sit.s(i))).collect();
+    let t_units: Vec<_> = (0..=m - 2).map(|i| unit(sit.t(i))).collect();
+    (0..m)
+        .map(|k| {
             let row = table.row(k);
             let mut units = vec![s_units[row.s_index - 1]];
             units.extend(row.t_indices.iter().map(|&i| t_units[i]));
-            let c = circuit.net_mut().xor_balanced(&units);
-            circuit.output(k, c);
-        }
-        circuit.finish()
-    }
+            circuit.net_mut().xor_balanced(&units)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use gf2m::Field;
 use netlist::Netlist;
 
 use crate::coeffs::FlatCoefficientTable;
-use crate::gen::{MulCircuit, MultiplierGenerator};
+use crate::gen::{GateSink, Method, MulCircuit, MultiplierGenerator};
 
 /// Generator for the method of \[7\]: `S_i`/`T_i` split into complete
 /// XOR-tree atoms `S^j_i`/`T^j_i`, which are then summed under the
@@ -21,25 +21,27 @@ pub struct Imana2016;
 
 impl MultiplierGenerator for Imana2016 {
     fn name(&self) -> &'static str {
-        "imana2016"
+        Method::Imana2016.name()
     }
 
     fn citation(&self) -> &'static str {
-        "[7]"
+        Method::Imana2016.citation()
     }
 
     fn generate(&self, field: &Field) -> Netlist {
-        let m = field.m();
-        let table = FlatCoefficientTable::new(field);
-        let mut circuit = MulCircuit::new(m, format!("mul_imana2016_m{m}"));
-        for k in 0..m {
-            let atoms: Vec<_> = table.atoms(k).to_vec();
-            let nodes: Vec<_> = atoms.iter().map(|a| circuit.atom(a)).collect();
-            let c = circuit.net_mut().xor_depth_aware(&nodes);
-            circuit.output(k, c);
-        }
-        circuit.finish()
+        Method::Imana2016.netlist(field, "imana2016")
     }
+}
+
+/// [`Imana2016`]'s construction in any sink: returns `c_0..c_{m−1}`.
+pub(super) fn build<S: GateSink>(field: &Field, circuit: &mut MulCircuit<S>) -> Vec<S::Node> {
+    let table = FlatCoefficientTable::new(field);
+    (0..field.m())
+        .map(|k| {
+            let nodes: Vec<_> = table.atoms(k).iter().map(|a| circuit.atom(a)).collect();
+            circuit.net_mut().xor_depth_aware(&nodes)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use gf2m::{Field, MastrovitoMatrix};
 use netlist::Netlist;
 
-use crate::gen::{Method, MulCircuit, MultiplierGenerator};
+use crate::gen::{GateSink, Method, MulCircuit, MultiplierGenerator};
 
 /// Generator for the Mastrovito product-matrix architecture as used by
 /// Paar (\[2\] in the paper).
@@ -33,28 +33,30 @@ impl MultiplierGenerator for MastrovitoPaar {
     }
 
     fn generate(&self, field: &Field) -> Netlist {
-        let m = field.m();
-        let matrix = MastrovitoMatrix::new(field);
-        let mut circuit = MulCircuit::new(m, format!("mul_mastrovito_m{m}"));
-        let a_inputs: Vec<_> = (0..m).map(|i| circuit.a_input(i)).collect();
-        let b_inputs: Vec<_> = (0..m).map(|j| circuit.b_input(j)).collect();
-        for k in 0..m {
+        Method::MastrovitoPaar.netlist(field, "mastrovito")
+    }
+}
+
+/// [`MastrovitoPaar`]'s construction in any sink: returns `c_0..c_{m−1}`.
+pub(super) fn build<S: GateSink>(field: &Field, circuit: &mut MulCircuit<S>) -> Vec<S::Node> {
+    let m = field.m();
+    let matrix = MastrovitoMatrix::new(field);
+    (0..m)
+        .map(|k| {
             let mut row_terms = Vec::new();
-            for (j, &bj) in b_inputs.iter().enumerate() {
+            for j in 0..m {
                 let entry = matrix.entry(k, j);
                 if entry.is_empty() {
                     continue;
                 }
-                let sum_nodes: Vec<_> = entry.iter().map(|&i| a_inputs[i]).collect();
+                let sum_nodes: Vec<_> = entry.iter().map(|&i| circuit.a_input(i)).collect();
                 let entry_node = circuit.net_mut().xor_balanced(&sum_nodes);
-                let anded = circuit.net_mut().and(entry_node, bj);
-                row_terms.push(anded);
+                let bj = circuit.b_input(j);
+                row_terms.push(circuit.net_mut().and(entry_node, bj));
             }
-            let c = circuit.net_mut().xor_balanced(&row_terms);
-            circuit.output(k, c);
-        }
-        circuit.finish()
-    }
+            circuit.net_mut().xor_balanced(&row_terms)
+        })
+        .collect()
 }
 
 #[cfg(test)]

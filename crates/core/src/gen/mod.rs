@@ -31,6 +31,7 @@ mod mastrovito;
 mod proposed;
 mod rashidi;
 mod reyhani;
+mod sink;
 pub mod support;
 
 pub use builder::MulCircuit;
@@ -40,6 +41,8 @@ pub use mastrovito::MastrovitoPaar;
 pub use proposed::ProposedFlat;
 pub use rashidi::Rashidi;
 pub use reyhani::ReyhaniHasan;
+pub(crate) use sink::DepthSink;
+pub use sink::GateSink;
 pub use support::coefficient_support;
 
 use gf2m::Field;
@@ -142,6 +145,39 @@ impl Method {
     /// Looks a method up by its [`Method::name`] (exact match).
     pub fn from_name(name: &str) -> Option<Method> {
         Method::ALL.into_iter().find(|m| m.name() == name)
+    }
+
+    /// Builds this method's multiplier over `field` into `circuit`
+    /// (whose inputs must number `field.m()` per operand) and returns
+    /// the output nodes `c_0..c_{m−1}`.
+    ///
+    /// This is the one construction of each method: [`generate`] builds
+    /// it into a [`Netlist`], [`crate::delay_spec`] into a [`DepthSink`],
+    /// and [`crate::area_spec`] counts the gates of a fresh netlist.
+    pub(crate) fn build<S: GateSink>(
+        self,
+        field: &Field,
+        circuit: &mut MulCircuit<S>,
+    ) -> Vec<S::Node> {
+        match self {
+            Method::MastrovitoPaar => mastrovito::build(field, circuit),
+            Method::Rashidi => rashidi::build(field, circuit),
+            Method::ReyhaniHasan => reyhani::build(field, circuit),
+            Method::Imana2012 => imana2012::build(field, circuit),
+            Method::Imana2016 => imana2016::build(field, circuit),
+            Method::ProposedFlat => proposed::build(field, circuit),
+        }
+    }
+
+    /// This method's netlist over `field`, named `mul_{tag}_m{m}`, with
+    /// outputs `c0..c{m−1}`.
+    fn netlist(self, field: &Field, tag: &str) -> Netlist {
+        let m = field.m();
+        let mut circuit = MulCircuit::new(m, format!("mul_{tag}_m{m}"));
+        for (k, c) in self.build(field, &mut circuit).into_iter().enumerate() {
+            circuit.output(k, c);
+        }
+        circuit.finish()
     }
 
     /// The boxed generator for this method.

@@ -5,7 +5,7 @@ use gf2m::Field;
 use netlist::Netlist;
 
 use crate::coeffs::FlatCoefficientTable;
-use crate::gen::{MulCircuit, MultiplierGenerator};
+use crate::gen::{GateSink, Method, MulCircuit, MultiplierGenerator};
 
 /// Generator for the paper's contribution (Table IV): keep the
 /// `S^j_i`/`T^j_i` splitting of \[7\] but *drop the parenthesised
@@ -23,27 +23,29 @@ pub struct ProposedFlat;
 
 impl MultiplierGenerator for ProposedFlat {
     fn name(&self) -> &'static str {
-        "proposed"
+        Method::ProposedFlat.name()
     }
 
     fn citation(&self) -> &'static str {
-        "This work"
+        Method::ProposedFlat.citation()
     }
 
     fn generate(&self, field: &Field) -> Netlist {
-        let m = field.m();
-        let table = FlatCoefficientTable::new(field);
-        let mut circuit = MulCircuit::new(m, format!("mul_proposed_m{m}"));
-        for k in 0..m {
-            let atoms: Vec<_> = table.atoms(k).to_vec();
-            let nodes: Vec<_> = atoms.iter().map(|a| circuit.atom(a)).collect();
+        Method::ProposedFlat.netlist(field, "proposed")
+    }
+}
+
+/// [`ProposedFlat`]'s construction in any sink: returns `c_0..c_{m−1}`.
+pub(super) fn build<S: GateSink>(field: &Field, circuit: &mut MulCircuit<S>) -> Vec<S::Node> {
+    let table = FlatCoefficientTable::new(field);
+    (0..field.m())
+        .map(|k| {
+            let nodes: Vec<_> = table.atoms(k).iter().map(|a| circuit.atom(a)).collect();
             // A plain balanced combination in table order: no forced
             // same-level pair nodes shared across coefficients.
-            let c = circuit.net_mut().xor_balanced(&nodes);
-            circuit.output(k, c);
-        }
-        circuit.finish()
-    }
+            circuit.net_mut().xor_balanced(&nodes)
+        })
+        .collect()
 }
 
 #[cfg(test)]

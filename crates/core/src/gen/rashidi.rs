@@ -4,7 +4,7 @@ use gf2m::Field;
 use netlist::Netlist;
 
 use crate::gen::support::coefficient_support;
-use crate::gen::{Method, MulCircuit, MultiplierGenerator};
+use crate::gen::{GateSink, Method, MulCircuit, MultiplierGenerator};
 
 /// Generator for the bit-parallel version of the low-time-complexity
 /// multiplier of Rashidi, Farashahi & Sayedi (\[8\] in the paper).
@@ -29,18 +29,21 @@ impl MultiplierGenerator for Rashidi {
     }
 
     fn generate(&self, field: &Field) -> Netlist {
-        let m = field.m();
-        let mut circuit = MulCircuit::new(m, format!("mul_rashidi_m{m}"));
-        for k in 0..m {
+        Method::Rashidi.netlist(field, "rashidi")
+    }
+}
+
+/// [`Rashidi`]'s construction in any sink: returns `c_0..c_{m−1}`.
+pub(super) fn build<S: GateSink>(field: &Field, circuit: &mut MulCircuit<S>) -> Vec<S::Node> {
+    (0..field.m())
+        .map(|k| {
             let products: Vec<_> = coefficient_support(field, k)
                 .into_iter()
                 .map(|(i, j)| circuit.product(i, j))
                 .collect();
-            let c = circuit.net_mut().xor_balanced(&products);
-            circuit.output(k, c);
-        }
-        circuit.finish()
-    }
+            circuit.net_mut().xor_balanced(&products)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use gf2m::Field;
 use netlist::Netlist;
 
-use crate::gen::{Method, MulCircuit, MultiplierGenerator};
+use crate::gen::{GateSink, Method, MulCircuit, MultiplierGenerator};
 use crate::terms::d_terms;
 
 /// Generator for the low-complexity polynomial-basis architecture of
@@ -36,35 +36,39 @@ impl MultiplierGenerator for ReyhaniHasan {
     }
 
     fn generate(&self, field: &Field) -> Netlist {
-        let m = field.m();
-        let red = field.reduction_matrix().clone();
-        let mut circuit = MulCircuit::new(m, format!("mul_reyhani_m{m}"));
-        // Shared d_k trees over raw products, in antidiagonal order
-        // (a_i·b_{k−i} for ascending i — no z-pair substructure).
-        let d_nodes: Vec<_> = (0..=2 * m - 2)
-            .map(|k| {
-                let mut pairs: Vec<(usize, usize)> =
-                    d_terms(m, k).iter().flat_map(|t| t.products()).collect();
-                pairs.sort_unstable();
-                let products: Vec<_> = pairs
-                    .into_iter()
-                    .map(|(i, j)| circuit.product(i, j))
-                    .collect();
-                circuit.net_mut().xor_balanced(&products)
-            })
-            .collect();
-        for k in 0..m {
-            let mut parts = vec![d_nodes[k]];
-            for t in 0..m - 1 {
-                if red.entry(k, t) {
-                    parts.push(d_nodes[m + t]);
-                }
-            }
-            let c = circuit.net_mut().xor_balanced(&parts);
-            circuit.output(k, c);
-        }
-        circuit.finish()
+        Method::ReyhaniHasan.netlist(field, "reyhani")
     }
+}
+
+/// [`ReyhaniHasan`]'s construction in any sink: returns `c_0..c_{m−1}`.
+pub(super) fn build<S: GateSink>(field: &Field, circuit: &mut MulCircuit<S>) -> Vec<S::Node> {
+    let m = field.m();
+    let red = field.reduction_matrix();
+    // Shared d_k trees over raw products, in antidiagonal order
+    // (a_i·b_{k−i} for ascending i — no z-pair substructure).
+    let d_nodes: Vec<_> = (0..=2 * m - 2)
+        .map(|k| {
+            let mut pairs: Vec<(usize, usize)> =
+                d_terms(m, k).iter().flat_map(|t| t.products()).collect();
+            pairs.sort_unstable();
+            let products: Vec<_> = pairs
+                .into_iter()
+                .map(|(i, j)| circuit.product(i, j))
+                .collect();
+            circuit.net_mut().xor_balanced(&products)
+        })
+        .collect();
+    (0..m)
+        .map(|k| {
+            let mut parts = vec![d_nodes[k]];
+            parts.extend(
+                (0..m - 1)
+                    .filter(|&t| red.entry(k, t))
+                    .map(|t| d_nodes[m + t]),
+            );
+            circuit.net_mut().xor_balanced(&parts)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -12,16 +12,11 @@
 //! `t` groups are disjoint), so the expansion is already in algebraic
 //! normal form and can be compared syntactically.
 
-use gf2m::{Field, MastrovitoMatrix};
+use gf2m::Field;
 use netlist::algebra::{Monomial, MulSpec, Poly};
 use netlist::depth::DepthSpec;
-use netlist::Depth;
 
-use crate::coeffs::{CoefficientTable, FlatCoefficientTable};
-use crate::gen::{coefficient_support, Method};
-use crate::sit::SiTi;
-use crate::split::SplitAtom;
-use crate::terms::{d_terms, ProductTerm};
+use crate::gen::{DepthSink, Method, MulCircuit};
 
 /// Derives the complete per-output-bit specification of a multiplier
 /// over `field`.
@@ -68,15 +63,16 @@ pub fn multiplier_spec(field: &Field) -> MulSpec {
 /// Derives the expected per-output (AND-depth, XOR-depth) bounds — the
 /// paper's Table V delay formula — for `method` over `field`.
 ///
-/// The bounds are computed by replaying each generator's tree-building
-/// strategy on depth values alone: balanced `chunks(2)` combination for
-/// the flat/balanced methods, depth-keyed Huffman merging for the
-/// parenthesised method of \[7\]. Because hash-consing shares only
-/// structurally identical gates (identical depth included) and no tree
-/// ever pairs a node with itself, the replay is *exact*: every
-/// generator's netlist measures component-wise equal to these bounds,
-/// which is what [`netlist::check_depths`] (and the FPGA pipeline's
-/// `verify_depth`) certifies.
+/// The bounds are the method's own construction (the one
+/// [`generate`](crate::generate) builds) read in a depth sink, where
+/// every node is its (AND, XOR) depth: balanced `chunks(2)` trees and
+/// the depth-keyed Huffman merging of \[7\] evaluated on depths alone,
+/// with no gate allocated. Because hash-consing shares only structurally
+/// identical gates (identical depth included) and no tree ever pairs a
+/// node with itself, the reading is *exact*: every generator's netlist
+/// measures component-wise equal to these bounds, which is what
+/// [`netlist::check_depths`] (and the FPGA pipeline's `verify_depth`)
+/// certifies.
 ///
 /// # Examples
 ///
@@ -93,183 +89,7 @@ pub fn multiplier_spec(field: &Field) -> MulSpec {
 /// # Ok::<(), gf2poly::PentanomialError>(())
 /// ```
 pub fn delay_spec(field: &Field, method: Method) -> DepthSpec {
-    let m = field.m();
-    let bounds = match method {
-        Method::MastrovitoPaar => {
-            // Per row k: each nonzero matrix entry is a balanced XOR
-            // sum of `a` inputs, ANDed with b_j, then the row is a
-            // balanced tree over those terms in column order.
-            let matrix = MastrovitoMatrix::new(field);
-            (0..m)
-                .map(|k| {
-                    let row_terms: Vec<Depth> = (0..m)
-                        .filter_map(|j| {
-                            let entry = matrix.entry(k, j);
-                            if entry.is_empty() {
-                                None
-                            } else {
-                                Some(Depth {
-                                    ands: 1,
-                                    xors: ceil_log2(entry.len()),
-                                })
-                            }
-                        })
-                        .collect();
-                    balanced_depth(&row_terms)
-                })
-                .collect()
-        }
-        Method::Rashidi => {
-            // One perfectly balanced tree per coefficient over its raw
-            // partial-product support: T_A + ⌈log2 |support|⌉·T_X.
-            (0..m)
-                .map(|k| Depth {
-                    ands: 1,
-                    xors: ceil_log2(coefficient_support(field, k).len()),
-                })
-                .collect()
-        }
-        Method::ReyhaniHasan => {
-            // Shared antidiagonal d_t trees over raw products, then a
-            // balanced reduction tree per coefficient.
-            let red = field.reduction_matrix();
-            let d_depths: Vec<Depth> = (0..=2 * m - 2)
-                .map(|t| {
-                    let products: usize = d_terms(m, t).iter().map(ProductTerm::num_products).sum();
-                    Depth {
-                        ands: 1,
-                        xors: ceil_log2(products),
-                    }
-                })
-                .collect();
-            (0..m)
-                .map(|k| {
-                    let mut parts = vec![d_depths[k]];
-                    for t in 0..m - 1 {
-                        if red.entry(k, t) {
-                            parts.push(d_depths[m + t]);
-                        }
-                    }
-                    balanced_depth(&parts)
-                })
-                .collect()
-        }
-        Method::Imana2012 => {
-            // Monolithic S_i/T_i units as balanced trees over their
-            // terms, coefficients as balanced trees over whole units.
-            let sit = SiTi::new(m);
-            let table = CoefficientTable::new(field);
-            let s_units: Vec<Depth> = (1..=m)
-                .map(|i| balanced_depth(&term_depths(sit.s(i))))
-                .collect();
-            let t_units: Vec<Depth> = (0..=m - 2)
-                .map(|i| balanced_depth(&term_depths(sit.t(i))))
-                .collect();
-            (0..m)
-                .map(|k| {
-                    let row = table.row(k);
-                    let mut units = vec![s_units[row.s_index - 1]];
-                    units.extend(row.t_indices.iter().map(|&i| t_units[i]));
-                    balanced_depth(&units)
-                })
-                .collect()
-        }
-        Method::Imana2016 => {
-            // Split atoms combined by the parenthesised same-level
-            // pairing discipline (depth-keyed Huffman merging).
-            let table = FlatCoefficientTable::new(field);
-            (0..m)
-                .map(|k| huffman_depth(&atom_depths(table.atoms(k))))
-                .collect()
-        }
-        Method::ProposedFlat => {
-            // Same atoms, combined by a plain balanced tree in table
-            // order.
-            let table = FlatCoefficientTable::new(field);
-            (0..m)
-                .map(|k| balanced_depth(&atom_depths(table.atoms(k))))
-                .collect()
-        }
-    };
-    DepthSpec::new(bounds)
-}
-
-/// `⌈log2(n)⌉` with `ceil_log2(0) = ceil_log2(1) = 0`.
-fn ceil_log2(n: usize) -> u32 {
-    if n <= 1 {
-        0
-    } else {
-        usize::BITS - (n - 1).leading_zeros()
-    }
-}
-
-/// Depths of a term list: `x_k` is one AND, `z^j_i` one AND + one XOR.
-fn term_depths(terms: &[ProductTerm]) -> Vec<Depth> {
-    terms
-        .iter()
-        .map(|t| match t {
-            ProductTerm::X(_) => Depth { ands: 1, xors: 0 },
-            ProductTerm::Z { .. } => Depth { ands: 1, xors: 1 },
-        })
-        .collect()
-}
-
-/// Depths of split atoms: each is a complete balanced tree over its
-/// terms.
-fn atom_depths(atoms: &[SplitAtom]) -> Vec<Depth> {
-    atoms
-        .iter()
-        .map(|a| balanced_depth(&term_depths(a.terms())))
-        .collect()
-}
-
-/// Replays [`netlist::Netlist::xor_balanced`]'s layered `chunks(2)`
-/// combination on depth values: each pair becomes the component-wise
-/// max plus one XOR level, an odd singleton passes through unchanged.
-fn balanced_depth(nodes: &[Depth]) -> Depth {
-    match nodes {
-        [] => Depth::default(),
-        [single] => *single,
-        _ => {
-            let mut layer = nodes.to_vec();
-            while layer.len() > 1 {
-                let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-                for pair in layer.chunks(2) {
-                    next.push(match pair {
-                        [x, y] => Depth {
-                            ands: x.ands.max(y.ands),
-                            xors: x.xors.max(y.xors) + 1,
-                        },
-                        [x] => *x,
-                        _ => unreachable!(),
-                    });
-                }
-                layer = next;
-            }
-            layer[0]
-        }
-    }
-}
-
-/// Replays [`netlist::Netlist::xor_depth_aware`]'s min-heap merging on
-/// XOR depths. Any tie-break order yields the same result (popping any
-/// two minimum keys leaves the same key multiset), and the AND depth of
-/// the root is simply the max over the leaves, so no node identities
-/// are needed.
-fn huffman_depth(nodes: &[Depth]) -> Depth {
-    if nodes.is_empty() {
-        return Depth::default();
-    }
-    let ands = nodes.iter().map(|d| d.ands).max().unwrap_or(0);
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<u32>> =
-        nodes.iter().map(|d| std::cmp::Reverse(d.xors)).collect();
-    while heap.len() > 1 {
-        let std::cmp::Reverse(d1) = heap.pop().expect("len > 1");
-        let std::cmp::Reverse(d2) = heap.pop().expect("len > 1");
-        heap.push(std::cmp::Reverse(d1.max(d2) + 1));
-    }
-    let std::cmp::Reverse(xors) = heap.pop().expect("nonempty");
-    Depth { ands, xors }
+    DepthSpec::new(method.build(field, &mut MulCircuit::with_sink(DepthSink, field.m())))
 }
 
 #[cfg(test)]
@@ -277,6 +97,7 @@ mod tests {
     use super::*;
     use crate::gen::{generate, Method};
     use gf2poly::Gf2Poly;
+    use netlist::Depth;
 
     fn gf256() -> Field {
         Field::new(Gf2Poly::from_exponents(&[8, 4, 3, 2, 0])).unwrap()
@@ -350,8 +171,8 @@ mod tests {
 
     #[test]
     fn delay_spec_is_exact_for_every_method_at_gf256() {
-        // The replay is not just an upper bound: every generator's
-        // netlist measures component-wise *equal* to its spec.
+        // The depth reading is not just an upper bound: every
+        // generator's netlist measures component-wise *equal* to it.
         let field = gf256();
         for method in Method::ALL {
             let spec = delay_spec(&field, method);
@@ -405,9 +226,10 @@ mod tests {
 
     #[test]
     fn tree_depth_replays_match_the_builders() {
+        use crate::gen::GateSink;
         use netlist::Netlist;
-        // Cross-check the replay helpers against the real tree builders
-        // over leaves of assorted depths.
+        // Cross-check the depth sink's trees against the real tree
+        // builders over leaves of assorted depths.
         let leaf_specs: Vec<u32> = vec![0, 0, 3, 1, 0, 2, 1, 0, 0, 4, 1];
         for n in 1..=leaf_specs.len() {
             let spec: Vec<Depth> = leaf_specs[..n]
@@ -436,8 +258,16 @@ mod tests {
                 net.output("y", root);
                 net.depth()
             };
-            assert_eq!(build(false), balanced_depth(&spec), "balanced over {n}");
-            assert_eq!(build(true), huffman_depth(&spec), "huffman over {n}");
+            assert_eq!(
+                build(false),
+                DepthSink.xor_balanced(&spec),
+                "balanced over {n}"
+            );
+            assert_eq!(
+                build(true),
+                DepthSink.xor_depth_aware(&spec),
+                "huffman over {n}"
+            );
         }
     }
 }

@@ -84,7 +84,7 @@ use crate::map::{map_to_luts_in, verify_mapping, MapMode, MapOptions, MapScratch
 use crate::pack::{pack_slices, Packing};
 use crate::place::{place, PlaceOptions, Placement};
 use crate::target::Target;
-use crate::timing::{analyze, TimingReport};
+use crate::timing::{analyze, StaReport};
 
 /// The quadruple the paper reports per design in Table V, plus context.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,7 +164,7 @@ pub struct FlowArtifacts {
     /// The placement.
     pub placement: Placement,
     /// The timing report.
-    pub timing: TimingReport,
+    pub timing: StaReport,
     /// The summary.
     pub report: ImplReport,
 }
@@ -752,10 +752,10 @@ impl Pipeline {
     /// Static depth certificate: requires every output cone of the
     /// *gate-level* netlist to meet its claimed (AND, XOR) depth bound.
     ///
-    /// The spec is typically `rgf2m_core::delay_spec`'s replay of the
-    /// paper's Table V delay formula for a method × field pair, making
-    /// this a machine-checked version of the paper's `T_A + nT_X`
-    /// claims: a pass proves *no* input→output path is deeper than the
+    /// The spec is typically `rgf2m_core::delay_spec`, the method's
+    /// construction read as depths: the paper's Table V delay formula
+    /// for a method × field pair. That makes this a machine-checked
+    /// version of the paper's `T_A + nT_X` claims: a pass proves *no* input→output path is deeper than the
     /// formula, a failure is [`FlowError::DepthExceeded`] naming the
     /// first offending output bit. The check is purely structural
     /// (no device model involved) and runs before resynthesis — it
@@ -780,12 +780,12 @@ impl Pipeline {
     /// hold no more AND / XOR gates than the per-kind bounds claimed
     /// for it.
     ///
-    /// The spec is typically `rgf2m_core::area_spec`'s replay of the
-    /// paper's Table V `#AND`/`#XOR` formulas for a method × field
-    /// pair, making this the area counterpart of
-    /// [`Pipeline::verify_depth`]: a pass proves the generator emitted
-    /// no gate beyond the formula, a failure is
-    /// [`FlowError::AreaExceeded`] naming the offending gate kind.
+    /// The spec is typically `rgf2m_core::area_spec`, the gate counts
+    /// of a fresh build of the method's construction: the paper's
+    /// Table V `#AND`/`#XOR` pair for a method × field pair. That makes
+    /// this the area counterpart of [`Pipeline::verify_depth`]: a pass
+    /// proves the netlist holds no gate beyond the formula, a failure
+    /// is [`FlowError::AreaExceeded`] naming the offending gate kind.
     /// The check is `≤` per kind, so rewrites that *shrink* a design
     /// below its formula keep passing; the specs themselves are exact,
     /// so any spurious gate fails the certificate.
@@ -854,12 +854,7 @@ impl Pipeline {
     }
 
     /// Stage 5: static timing analysis (infallible once placed).
-    pub fn time(
-        &self,
-        mapped: &LutNetlist,
-        packing: &Packing,
-        placement: &Placement,
-    ) -> TimingReport {
+    pub fn time(&self, mapped: &LutNetlist, packing: &Packing, placement: &Placement) -> StaReport {
         analyze(mapped, packing, placement, &self.device)
     }
 

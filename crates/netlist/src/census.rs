@@ -246,6 +246,19 @@ impl AreaSpec {
         AreaSpec { ands, xors }
     }
 
+    /// The gate counts of `net`, as a spec.
+    pub fn of(net: &Netlist) -> AreaSpec {
+        let (mut ands, mut xors) = (0usize, 0usize);
+        for gate in net.gates() {
+            match gate {
+                Gate::And(_, _) => ands += 1,
+                Gate::Xor(_, _) => xors += 1,
+                Gate::Input(_) | Gate::Const(_) => {}
+            }
+        }
+        AreaSpec { ands, xors }
+    }
+
     /// The AND-gate bound (`#AND` in Table V).
     pub fn ands(&self) -> usize {
         self.ands
@@ -301,16 +314,9 @@ impl fmt::Display for AreaExcess {
 /// Checks the per-kind gate counts of `net` against `spec`, reporting
 /// the first violation (AND before XOR).
 pub fn check_area(net: &Netlist, spec: &AreaSpec) -> Result<(), AreaExcess> {
-    let (mut ands, mut xors) = (0usize, 0usize);
-    for id in net.node_ids() {
-        match net.gate(id) {
-            Gate::And(_, _) => ands += 1,
-            Gate::Xor(_, _) => xors += 1,
-            Gate::Input(_) | Gate::Const(_) => {}
-        }
-    }
-    for (kind, got) in [(GateKind::And, ands), (GateKind::Xor, xors)] {
-        let bound = spec.bound(kind);
+    let counts = AreaSpec::of(net);
+    for kind in [GateKind::And, GateKind::Xor] {
+        let (got, bound) = (counts.bound(kind), spec.bound(kind));
         if got > bound {
             return Err(AreaExcess { kind, got, bound });
         }

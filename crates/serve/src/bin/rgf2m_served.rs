@@ -48,12 +48,19 @@ fn main() {
     }
 
     let handle = server::spawn(config).unwrap_or_else(|e| die(&format!("cannot bind: {e}")));
-    println!("rgf2m-served listening on {}", handle.endpoint());
-    let _ = std::io::stdout().flush();
+    banner(&format!("rgf2m-served listening on {}", handle.endpoint()));
     match handle.join() {
-        Ok(()) => println!("rgf2m-served: drained, bye"),
+        Ok(()) => banner("rgf2m-served: drained, bye"),
         Err(e) => die(&format!("server error: {e}")),
     }
+}
+
+/// Writes a status line to stdout. A daemon outlives whoever started
+/// it, so a closed stdout (its reader gone) must not stop it: the line
+/// is dropped and serving, or the drain, carries on.
+fn banner(line: &str) {
+    let mut out = std::io::stdout().lock();
+    let _ = writeln!(out, "{line}").and_then(|()| out.flush());
 }
 
 fn die(msg: &str) -> ! {

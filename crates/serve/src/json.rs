@@ -72,12 +72,18 @@ impl JsonValue {
     }
 }
 
+/// The deepest array/object nesting [`parse_json`] accepts. The reader
+/// recurses once per level, so a cap keeps hostile input (say, one
+/// line of 100 000 `[`) an `Err` instead of a stack overflow.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a JSON document (UTF-8 input; `\uXXXX` escapes including
-/// UTF-16 surrogate pairs are decoded, malformed ones rejected).
+/// UTF-16 surrogate pairs are decoded, malformed ones rejected; arrays
+/// and objects nested deeper than [`MAX_NESTING`] are rejected).
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -124,10 +130,14 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value opened inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_NESTING => Err(format!(
+            "nesting deeper than {MAX_NESTING} levels at byte {pos}"
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut pairs = Vec::new();
@@ -141,7 +151,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 pairs.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -163,7 +173,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -295,6 +305,16 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn json_nesting_is_capped_without_recursing_to_overflow() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nest(MAX_NESTING)).is_ok());
+        let err = parse_json(&nest(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(parse_json(&"[".repeat(100_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -438,6 +438,12 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_request_is_an_error_not_a_stack_overflow() {
+        let err = parse_request(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+    }
+
+    #[test]
     fn synth_response_reconstructs_the_exact_report() {
         let report = ImplReport {
             name: "gf256_proposed".into(),

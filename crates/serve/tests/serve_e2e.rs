@@ -247,3 +247,63 @@ fn shutdown_drains_pipelined_work_before_exiting() {
     // The daemon is actually gone.
     assert!(Client::connect(&endpoint).is_err());
 }
+
+/// The daemon outlives whoever started it: with its stdout reader gone,
+/// the readiness and drain banners fail to write, and it must still
+/// serve, drain and exit 0 rather than panic.
+#[test]
+fn daemon_drains_and_exits_cleanly_with_stdout_closed() {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    let dir = scratch("closed-stdout");
+    fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("served.sock");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rgf2m-served"))
+        .arg("--unix")
+        .arg(&socket)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+
+    let endpoint = Endpoint::Unix(socket);
+    let started = Instant::now();
+    let mut client = loop {
+        match Client::connect(&endpoint) {
+            Ok(client) => break client,
+            Err(_) if started.elapsed() < Duration::from_secs(20) => {
+                if let Some(status) = child.try_wait().unwrap() {
+                    panic!("daemon exited before serving: {status}");
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("daemon never came up: {e}"),
+        }
+    };
+    client.shutdown().unwrap();
+    let status = child.wait().unwrap();
+    assert!(status.success(), "daemon exited with {status}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// One request line of 100 000 `[` gets an error reply; the daemon
+/// keeps serving the same connection instead of overflowing its stack.
+#[test]
+fn deeply_nested_request_is_answered_with_an_error() {
+    let handle = server::spawn(ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()))).unwrap();
+    let mut conn = handle.endpoint().connect().unwrap();
+    let hostile = "[".repeat(100_000);
+    let shutdown = encode_request(&Request::Shutdown { id: 7 });
+    conn.write_all(format!("{hostile}\n{shutdown}\n").as_bytes())
+        .unwrap();
+    conn.flush().unwrap();
+    let mut lines = BufReader::new(conn.try_clone().unwrap()).lines();
+    let reply = parse_response(&lines.next().unwrap().unwrap()).unwrap();
+    assert!(!reply.ok);
+    assert!(reply.error().unwrap().contains("nesting"), "{reply:?}");
+    let ack = parse_response(&lines.next().unwrap().unwrap()).unwrap();
+    assert_eq!((ack.id, ack.ok), (7, true));
+    handle.join().unwrap();
+}
