@@ -18,7 +18,7 @@ use std::fmt;
 use netlist::{Gate, Netlist};
 use rgf2m_core::{area_spec, delay_spec, gen::generate, multiplier_spec, Method};
 use rgf2m_fpga::{Pipeline, Target};
-use rgf2m_serve::json::{json_string, parse_json, JsonValue};
+use rgf2m_serve::json::Obj;
 
 use crate::{field_for, harness_pipeline};
 
@@ -191,6 +191,20 @@ fn inject_redundant_gate(net: &mut Netlist) {
     net.push_raw(net.gate(dup));
 }
 
+/// One certificate's verdict: `pass` describes a success, a failure
+/// is its error message.
+fn verdict<T, E: fmt::Display>(
+    check: &'static str,
+    result: Result<T, E>,
+    pass: impl FnOnce(T) -> String,
+) -> AuditCheck {
+    let (ok, detail) = match result {
+        Ok(v) => (true, pass(v)),
+        Err(e) => (false, e.to_string()),
+    };
+    AuditCheck { check, ok, detail }
+}
+
 /// Runs every static certificate over the configured grid.
 ///
 /// Gate-level checks (lint, formal, depth, area, strash) are
@@ -227,46 +241,23 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
             });
 
             // Complete algebraic verification of every output cone.
-            checks.push(match pipeline.verify_formal(&spec, &net) {
-                Ok(()) => AuditCheck {
-                    check: "formal",
-                    ok: true,
-                    detail: format!("all {} output cones match the spec", opts.m),
-                },
-                Err(e) => AuditCheck {
-                    check: "formal",
-                    ok: false,
-                    detail: e.to_string(),
-                },
-            });
+            checks.push(verdict(
+                "formal",
+                pipeline.verify_formal(&spec, &net),
+                |()| format!("all {} output cones match the spec", opts.m),
+            ));
 
             // The Table V delay formula, as a structural depth bound.
-            checks.push(match pipeline.verify_depth(&depth_spec, &net) {
-                Ok(()) => AuditCheck {
-                    check: "depth",
-                    ok: true,
-                    detail: format!("within {}", depth_spec.worst()),
-                },
-                Err(e) => AuditCheck {
-                    check: "depth",
-                    ok: false,
-                    detail: e.to_string(),
-                },
-            });
+            checks.push(verdict(
+                "depth",
+                pipeline.verify_depth(&depth_spec, &net),
+                |()| format!("within {}", depth_spec.worst()),
+            ));
 
             // The Table V gate-count formula, exact per kind.
-            checks.push(match pipeline.verify_area(&area, &net) {
-                Ok(()) => AuditCheck {
-                    check: "area",
-                    ok: true,
-                    detail: format!("exactly {area}"),
-                },
-                Err(e) => AuditCheck {
-                    check: "area",
-                    ok: false,
-                    detail: e.to_string(),
-                },
-            });
+            checks.push(verdict("area", pipeline.verify_area(&area, &net), |()| {
+                format!("exactly {area}")
+            }));
 
             // Structural hashing: the proof-carrying dedup rewrite must
             // find nothing to merge (the hash-consing builder already
@@ -289,36 +280,19 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
             // lints it first, so mapped structural errors surface here.
             let mapped = pipeline
                 .resynth(&net)
-                .and_then(|synth| pipeline.map(&synth));
-            checks.push(match mapped {
-                Ok(mut mapped) => {
+                .and_then(|synth| pipeline.map(&synth))
+                .and_then(|mut mapped| {
                     if opts.fault == Some(Fault::TruthFault) {
                         let truth = mapped.luts()[0].truth;
                         mapped.set_truth(0, !truth);
                     }
-                    match pipeline.verify_formal_mapped(&spec, &mapped) {
-                        Ok(()) => AuditCheck {
-                            check: "mapped",
-                            ok: true,
-                            detail: format!(
-                                "{} LUTs match the spec on {}",
-                                mapped.num_luts(),
-                                target.name()
-                            ),
-                        },
-                        Err(e) => AuditCheck {
-                            check: "mapped",
-                            ok: false,
-                            detail: e.to_string(),
-                        },
-                    }
-                }
-                Err(e) => AuditCheck {
-                    check: "mapped",
-                    ok: false,
-                    detail: e.to_string(),
-                },
-            });
+                    pipeline
+                        .verify_formal_mapped(&spec, &mapped)
+                        .map(|()| mapped.num_luts())
+                });
+            checks.push(verdict("mapped", mapped, |luts| {
+                format!("{luts} LUTs match the spec on {}", target.name())
+            }));
 
             report.cells.push(AuditCell {
                 method,
@@ -333,168 +307,37 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
 /// Serializes an audit verdict as the `rgf2m-audit/1` JSON document.
 /// Byte-deterministic: fixed field order, no floats, no timestamps.
 pub fn audit_to_json(report: &AuditReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{AUDIT_SCHEMA}\",\n"));
-    s.push_str(&format!("  \"m\": {}, \"n\": {},\n", report.m, report.n));
-    s.push_str(&format!("  \"violations\": {},\n", report.violations()));
-    s.push_str("  \"cells\": [\n");
-    for (i, cell) in report.cells.iter().enumerate() {
-        s.push_str("    {");
-        s.push_str(&format!(
-            "\"method\": {}, \"citation\": {}, \"target\": {}, \"ok\": {}, \"checks\": [",
-            json_string(cell.method.name()),
-            json_string(cell.method.citation()),
-            json_string(cell.target.name()),
-            cell.violations() == 0
-        ));
-        for (j, check) in cell.checks.iter().enumerate() {
-            s.push_str(&format!(
-                "\n      {{\"check\": {}, \"ok\": {}, \"detail\": {}}}",
-                json_string(check.check),
-                check.ok,
-                json_string(&check.detail)
-            ));
-            if j + 1 < cell.checks.len() {
-                s.push(',');
-            }
-        }
-        s.push_str("\n    ]}");
-        if i + 1 < report.cells.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let cells = report.cells.iter().map(|cell| {
+        let checks = cell.checks.iter().map(|c| {
+            Obj::new()
+                .str("check", c.check)
+                .bool("ok", c.ok)
+                .str("detail", &c.detail)
+        });
+        Obj::new()
+            .str("method", cell.method.name())
+            .str("citation", cell.method.citation())
+            .str("target", cell.target.name())
+            .bool("ok", cell.violations() == 0)
+            .arr("checks", checks)
+    });
+    Obj::new()
+        .str("schema", AUDIT_SCHEMA)
+        .num("m", report.m)
+        .num("n", report.n)
+        .same_line()
+        .num("violations", report.violations())
+        .arr("cells", cells)
+        .document()
 }
 
 /// The canonical check set every audit cell must carry.
-const CHECK_NAMES: [&str; 6] = ["lint", "formal", "depth", "area", "strash", "mapped"];
-
-/// Validates a `rgf2m-audit/1` JSON document: schema tag, positive
-/// field shape, a non-empty cell grid where every cell names a
-/// registered method (with its paper citation) and target, carries the
-/// full canonical check set in order, and has `ok` consistent with its
-/// checks; the top-level `violations` count must equal the number of
-/// failed checks. Returns a short human-readable summary on success.
-pub fn validate_audit_json(text: &str) -> Result<String, String> {
-    let doc = parse_json(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing \"schema\"")?;
-    if schema != AUDIT_SCHEMA {
-        return Err(format!("schema {schema:?}, expected {AUDIT_SCHEMA:?}"));
-    }
-    for key in ["m", "n"] {
-        let v = doc
-            .get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("missing numeric \"{key}\""))?;
-        if v <= 0.0 || v.fract() != 0.0 {
-            return Err(format!("{key} = {v} is not a positive integer"));
-        }
-    }
-    let cells = doc
-        .get("cells")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing \"cells\" array")?;
-    if cells.is_empty() {
-        return Err("empty \"cells\"".into());
-    }
-    let mut failed_checks = 0usize;
-    for (i, cell) in cells.iter().enumerate() {
-        let ctx = |what: &str| format!("cell {i}: {what}");
-        let name = cell
-            .get("method")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ctx("missing \"method\""))?;
-        let method =
-            Method::from_name(name).ok_or_else(|| format!("cell {i}: unknown method {name:?}"))?;
-        let citation = cell
-            .get("citation")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ctx("missing \"citation\""))?;
-        if citation != method.citation() {
-            return Err(format!(
-                "cell {i}: citation {citation:?}, expected {:?}",
-                method.citation()
-            ));
-        }
-        let target = cell
-            .get("target")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ctx("missing \"target\""))?;
-        if Target::from_name(target).is_none() {
-            return Err(format!("cell {i}: unknown target {target:?}"));
-        }
-        let cell_ok = cell
-            .get("ok")
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| ctx("missing boolean \"ok\""))?;
-        let checks = cell
-            .get("checks")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| ctx("missing \"checks\" array"))?;
-        if checks.len() != CHECK_NAMES.len() {
-            return Err(format!(
-                "cell {i}: {} check(s), expected the canonical {}",
-                checks.len(),
-                CHECK_NAMES.len()
-            ));
-        }
-        let mut cell_failures = 0usize;
-        for (j, (check, expected)) in checks.iter().zip(CHECK_NAMES).enumerate() {
-            let cctx = |what: &str| format!("cell {i} check {j}: {what}");
-            let got = check
-                .get("check")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| cctx("missing \"check\""))?;
-            if got != expected {
-                return Err(format!(
-                    "cell {i} check {j}: {got:?} out of canonical order (expected {expected:?})"
-                ));
-            }
-            let ok = check
-                .get("ok")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| cctx("missing boolean \"ok\""))?;
-            check
-                .get("detail")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| cctx("missing \"detail\""))?;
-            if !ok {
-                cell_failures += 1;
-            }
-        }
-        if cell_ok != (cell_failures == 0) {
-            return Err(format!(
-                "cell {i}: ok = {cell_ok} contradicts its {cell_failures} failed check(s)"
-            ));
-        }
-        failed_checks += cell_failures;
-    }
-    let violations = doc
-        .get("violations")
-        .and_then(JsonValue::as_f64)
-        .ok_or("missing numeric \"violations\"")?;
-    if violations != failed_checks as f64 {
-        return Err(format!(
-            "violations = {violations} but the cells carry {failed_checks} failed check(s)"
-        ));
-    }
-    Ok(format!(
-        "{} cell(s), {} check(s) each, {} violation(s)",
-        cells.len(),
-        CHECK_NAMES.len(),
-        failed_checks
-    ))
-}
+pub(crate) const CHECK_NAMES: [&str; 6] = ["lint", "formal", "depth", "area", "strash", "mapped"];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::validate_json;
 
     fn quick_opts() -> AuditOptions {
         // One method keeps the unit tests fast; the full grid runs in
@@ -575,7 +418,7 @@ mod tests {
     fn json_export_roundtrips_through_the_validator() {
         let clean = run_audit(&quick_opts());
         let doc = audit_to_json(&clean);
-        let summary = validate_audit_json(&doc).unwrap();
+        let summary = validate_json(&doc).unwrap();
         assert!(summary.contains("0 violation(s)"), "{summary}");
         // Deterministic writer: same grid, same bytes.
         assert_eq!(audit_to_json(&run_audit(&quick_opts())), doc);
@@ -587,31 +430,27 @@ mod tests {
             ..quick_opts()
         });
         let fdoc = audit_to_json(&faulted);
-        let fsummary = validate_audit_json(&fdoc).unwrap();
+        let fsummary = validate_json(&fdoc).unwrap();
         assert!(!fsummary.contains(" 0 violation(s)"), "{fsummary}");
     }
 
     #[test]
     fn validator_rejects_broken_documents() {
         let doc = audit_to_json(&run_audit(&quick_opts()));
-        assert!(validate_audit_json("{}").is_err());
-        assert!(validate_audit_json(&doc.replace(AUDIT_SCHEMA, "rgf2m-audit/0")).is_err());
+        assert!(validate_json("{}").is_err());
+        assert!(validate_json(&doc.replace(AUDIT_SCHEMA, "rgf2m-audit/0")).is_err());
         // A violation count contradicting the checks is caught...
         let lied = doc.replace("\"violations\": 0", "\"violations\": 3");
-        assert!(validate_audit_json(&lied)
-            .unwrap_err()
-            .contains("violations"));
+        assert!(validate_json(&lied).unwrap_err().contains("violations"));
         // ...and so are a tampered cell verdict, method and check set.
         let flipped = doc.replace("\"ok\": true, \"checks\"", "\"ok\": false, \"checks\"");
-        assert!(validate_audit_json(&flipped)
-            .unwrap_err()
-            .contains("contradicts"));
+        assert!(validate_json(&flipped).unwrap_err().contains("contradicts"));
         let unknown = doc.replace("\"method\": \"proposed\"", "\"method\": \"magic\"");
-        assert!(validate_audit_json(&unknown)
+        assert!(validate_json(&unknown)
             .unwrap_err()
             .contains("unknown method"));
         let misordered = doc.replace("\"check\": \"lint\"", "\"check\": \"area\"");
-        assert!(validate_audit_json(&misordered)
+        assert!(validate_json(&misordered)
             .unwrap_err()
             .contains("canonical"));
     }

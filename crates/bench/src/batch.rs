@@ -262,7 +262,8 @@ pub struct BatchRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{rows_to_csv, rows_to_json, validate_table5_json};
+    use crate::report::{rows_to_csv, rows_to_json};
+    use crate::validate::validate_json;
 
     #[test]
     fn gf256_block_runs_all_six_methods() {
@@ -366,7 +367,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, c);
         // And the artifact passes its own schema validation.
-        let summary = validate_table5_json(&a).unwrap();
+        let summary = validate_json(&a).unwrap();
         assert!(summary.contains("6 rows"), "{summary}");
     }
 
@@ -383,7 +384,7 @@ mod tests {
             runner.base_seed(),
         );
         assert_eq!(a, b);
-        let summary = validate_table5_json(&a).unwrap();
+        let summary = validate_json(&a).unwrap();
         assert!(summary.contains("4 target(s)"), "{summary}");
     }
 
@@ -420,7 +421,7 @@ mod tests {
         assert!(json.contains("\"ok\": false"));
         assert!(json.contains("pentanomial"));
         // A document with a failed row fails validation loudly.
-        assert!(validate_table5_json(&json).is_err());
+        assert!(validate_json(&json).is_err());
         let csv = rows_to_csv(&rows);
         assert_eq!(csv.lines().count(), 3); // header + 2 rows
         assert!(csv.lines().nth(2).unwrap().contains("false"));

@@ -17,14 +17,15 @@
 //! repetitions. Wall-clock numbers are only comparable on the same
 //! machine; the file embeds the measured parallelism available.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use rgf2m_bench::report::bench_artifact;
 use rgf2m_bench::{arg_value, field_for, BENCH_MAP_SCHEMA};
 use rgf2m_core::{generate, Method};
 use rgf2m_fpga::map::{map_to_luts, MapOptions};
 use rgf2m_fpga::resynth::rebalance_xors;
 use rgf2m_fpga::{LutNetlist, Target};
+use rgf2m_serve::json::{Json, Obj};
 
 /// Mapper wall-time at the pre-refactor commit (PR 5 mapper: per-cut
 /// `Vec` clones, quadratic candidate dedup, flat `cuts_per_node = 8` at
@@ -129,67 +130,49 @@ fn main() {
 }
 
 fn render_json(m: usize, n: usize, results: &[TargetResult]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"schema\": \"{BENCH_MAP_SCHEMA}\",");
-    let _ = writeln!(
-        s,
-        "  \"note\": \"wall-clock ms; comparable only within one machine/run\","
-    );
-    let _ = writeln!(
-        s,
-        "  \"available_parallelism\": {},",
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    );
-    let _ = writeln!(s, "  \"field\": {{\"m\": {m}, \"n\": {n}}},");
-    let _ = writeln!(s, "  \"targets\": [");
-    for (ti, tr) in results.iter().enumerate() {
+    let targets = results.iter().map(|tr| {
         let mode = match tr.opts.mode {
             rgf2m_fpga::map::MapMode::Free => "free",
             rgf2m_fpga::map::MapMode::FanoutPreserving => "fanout_preserving",
         };
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"target\": \"{}\",", tr.target.name());
-        let _ = writeln!(
-            s,
-            "      \"map_options\": {{\"k\": {}, \"cuts_per_node\": {}, \"mode\": \"{mode}\"}},",
-            tr.opts.k, tr.opts.cuts_per_node
-        );
-        let _ = writeln!(
-            s,
-            "      \"design\": {{\"method\": \"ProposedFlat\", \"resynth_gates\": {}, \"luts\": {}, \"depth\": {}}},",
-            tr.resynth_gates,
-            tr.mapped.num_luts(),
-            tr.mapped.depth()
-        );
-        let _ = write!(s, "      \"rep_wall_ms\": [");
-        for (j, ms) in tr.rep_ms.iter().enumerate() {
-            if j > 0 {
-                let _ = write!(s, ", ");
-            }
-            let _ = write!(s, "{ms:.1}");
-        }
-        let _ = writeln!(s, "],");
-        let _ = writeln!(s, "      \"best_wall_ms\": {:.1},", tr.best_ms);
+        let entry = Obj::new()
+            .str("target", tr.target.name())
+            .set(
+                "map_options",
+                Obj::new()
+                    .num("k", tr.opts.k)
+                    .num("cuts_per_node", tr.opts.cuts_per_node)
+                    .str("mode", mode),
+            )
+            .set(
+                "design",
+                Obj::new()
+                    .str("method", "ProposedFlat")
+                    .num("resynth_gates", tr.resynth_gates)
+                    .num("luts", tr.mapped.num_luts())
+                    .num("depth", tr.mapped.depth()),
+            )
+            .arr("rep_wall_ms", tr.rep_ms.iter().map(|&ms| Json::fixed(ms, 1)))
+            .fixed("best_wall_ms", tr.best_ms, 1)
+            .fixed("mean_wall_ms", tr.mean_ms, 1);
         // The pre-refactor reference point is only meaningful for the
         // exact configuration it was measured under (full m = 163 on
         // stratix_alm, the machine/session that produced the committed
         // artifact) — never attach it to --quick runs or other fabrics.
         if m == 163 && tr.target == Target::StratixAlm {
-            let _ = writeln!(s, "      \"mean_wall_ms\": {:.1},", tr.mean_ms);
             let (best, mean) = STRATIX_M163_PRE_REFACTOR_MS;
-            let _ = writeln!(
-                s,
-                "      \"pre_refactor_baseline\": {{\"description\": \"map_to_luts() wall-time before the arena/priority-cut mapper (PR 5 data plane); only comparable on the machine that produced the committed artifact\", \"best_wall_ms\": {best:.1}, \"mean_wall_ms\": {mean:.1}}}"
-            );
+            entry.set(
+                "pre_refactor_baseline",
+                Obj::new()
+                    .str("description", "map_to_luts() wall-time before the arena/priority-cut mapper (PR 5 data plane); only comparable on the machine that produced the committed artifact")
+                    .fixed("best_wall_ms", best, 1)
+                    .fixed("mean_wall_ms", mean, 1),
+            )
         } else {
-            let _ = writeln!(s, "      \"mean_wall_ms\": {:.1}", tr.mean_ms);
+            entry
         }
-        let _ = writeln!(s, "    }}{}", if ti + 1 < results.len() { "," } else { "" });
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
+    });
+    bench_artifact(BENCH_MAP_SCHEMA, m, n)
+        .arr("targets", targets)
+        .document()
 }

@@ -18,16 +18,17 @@
 //! trajectory of the best run. Wall-clock numbers are only comparable on
 //! the same machine; the file embeds the measured parallelism available.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use rgf2m_bench::{arg_value, field_for};
+use rgf2m_bench::report::bench_artifact;
+use rgf2m_bench::{arg_value, field_for, BENCH_PLACE_SCHEMA};
 use rgf2m_core::{generate, Method};
 use rgf2m_fpga::map::map_to_luts;
 use rgf2m_fpga::pack::{pack_slices, Packing};
 use rgf2m_fpga::place::{place_with_stats, PlaceOptions, PlaceStats};
 use rgf2m_fpga::resynth::rebalance_xors;
 use rgf2m_fpga::{LutNetlist, Target};
+use rgf2m_serve::json::Obj;
 
 struct RunResult {
     threads: usize,
@@ -239,128 +240,91 @@ fn render_json(
     results: &[TargetResult],
     small: &SmallGridResult,
 ) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"schema\": \"rgf2m-bench-place/3\",");
-    let _ = writeln!(
-        s,
-        "  \"note\": \"wall-clock ms; comparable only within one machine/run\","
-    );
-    let _ = writeln!(
-        s,
-        "  \"available_parallelism\": {},",
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    );
-    let _ = writeln!(s, "  \"field\": {{\"m\": {m}, \"n\": {n}}},");
-    let _ = writeln!(
-        s,
-        "  \"place_options\": {{\"seed\": {}, \"moves_factor\": {}, \"max_total_moves\": {}}},",
-        opts.seed, opts.moves_factor, opts.max_total_moves
-    );
     let (pre_us, pre_proposals) = PRE_PR2_SMALL_GRID_US_PROPOSALS;
-    let _ = writeln!(s, "  \"small_grid\": {{");
-    let _ = writeln!(
-        s,
-        "    \"description\": \"per-proposal annealer cost on a tiny grid: GF(2^8) ProposedFlat on artix7, threads = 1, default options; fixed per-proposal overhead dominates here\","
-    );
-    let _ = writeln!(s, "    \"field\": {{\"m\": 8, \"n\": 2}},");
-    let _ = writeln!(s, "    \"target\": \"artix7\",");
-    let _ = writeln!(
-        s,
-        "    \"design\": {{\"luts\": {}, \"slices\": {}}},",
-        small.luts, small.slices
-    );
-    let _ = writeln!(s, "    \"reps\": {},", small.reps);
-    let _ = writeln!(s, "    \"proposals\": {},", small.proposals);
-    let _ = writeln!(s, "    \"best_wall_us\": {:.1},", small.best_us);
-    let _ = writeln!(s, "    \"mean_wall_us\": {:.1},", small.mean_us);
-    let _ = writeln!(
-        s,
-        "    \"ns_per_proposal\": {:.1},",
-        small.best_us * 1e3 / small.proposals as f64
-    );
-    let _ = writeln!(
-        s,
-        "    \"pre_pr2_baseline\": {{\"description\": \"pre-PR-2 annealer (commit 9ebd585) on the same design; only comparable on the machine that produced the committed artifact\", \"best_wall_us\": {:.1}, \"proposals\": {}, \"ns_per_proposal\": {:.1}}}",
-        pre_us,
-        pre_proposals,
-        pre_us * 1e3 / pre_proposals as f64
-    );
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"targets\": [");
-    for (ti, tr) in results.iter().enumerate() {
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"target\": \"{}\",", tr.target.name());
-        let _ = writeln!(
-            s,
-            "      \"design\": {{\"method\": \"ProposedFlat\", \"k\": {}, \"luts_per_slice\": {}, \"luts\": {}, \"slices\": {}}},",
-            tr.target.lut_inputs(),
-            tr.target.luts_per_slice(),
-            tr.mapped.num_luts(),
-            tr.packing.num_slices()
+    let small_grid = Obj::new()
+        .str("description", "per-proposal annealer cost on a tiny grid: GF(2^8) ProposedFlat on artix7, threads = 1, default options; fixed per-proposal overhead dominates here")
+        .set("field", Obj::new().num("m", 8).num("n", 2))
+        .str("target", "artix7")
+        .set("design", Obj::new().num("luts", small.luts).num("slices", small.slices))
+        .num("reps", small.reps)
+        .num("proposals", small.proposals)
+        .fixed("best_wall_us", small.best_us, 1)
+        .fixed("mean_wall_us", small.mean_us, 1)
+        .fixed("ns_per_proposal", small.best_us * 1e3 / small.proposals as f64, 1)
+        .set(
+            "pre_pr2_baseline",
+            Obj::new()
+                .str("description", "pre-PR-2 annealer (commit 9ebd585) on the same design; only comparable on the machine that produced the committed artifact")
+                .fixed("best_wall_us", pre_us, 1)
+                .num("proposals", pre_proposals)
+                .fixed("ns_per_proposal", pre_us * 1e3 / pre_proposals as f64, 1),
         );
-        let _ = writeln!(s, "      \"runs\": [");
-        for (i, r) in tr.runs.iter().enumerate() {
+    let targets = results.iter().map(|tr| {
+        let runs = tr.runs.iter().map(|r| {
             let st = &r.stats;
-            let _ = writeln!(s, "        {{");
-            let _ = writeln!(s, "          \"threads\": {},", r.threads);
-            let _ = writeln!(s, "          \"best_wall_ms\": {:.1},", r.best_ms);
-            let _ = writeln!(s, "          \"mean_wall_ms\": {:.1},", r.mean_ms);
-            let _ = writeln!(s, "          \"proposals\": {},", st.proposals);
-            let _ = writeln!(s, "          \"accepted\": {},", st.accepted);
-            let _ = writeln!(s, "          \"initial_hpwl\": {:.2},", st.initial_hpwl);
-            let _ = writeln!(s, "          \"final_hpwl\": {:.2},", st.final_hpwl);
-            let _ = write!(s, "          \"trajectory\": [");
-            for (j, step) in st.trajectory.iter().enumerate() {
-                if j > 0 {
-                    let _ = write!(s, ", ");
-                }
-                let _ = write!(
-                    s,
-                    "{{\"t\": {:.4}, \"hpwl\": {:.2}, \"proposed\": {}, \"accepted\": {}}}",
-                    step.temperature, step.hpwl, step.proposed, step.accepted
-                );
-            }
-            let _ = writeln!(s, "]");
-            let _ = writeln!(
-                s,
-                "        }}{}",
-                if i + 1 < tr.runs.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(s, "      ],");
-        let speedups: Vec<String> = tr
+            let trajectory = st.trajectory.iter().map(|step| {
+                Obj::new()
+                    .fixed("t", step.temperature, 4)
+                    .fixed("hpwl", step.hpwl, 2)
+                    .num("proposed", step.proposed)
+                    .num("accepted", step.accepted)
+            });
+            Obj::new()
+                .num("threads", r.threads)
+                .fixed("best_wall_ms", r.best_ms, 1)
+                .fixed("mean_wall_ms", r.mean_ms, 1)
+                .num("proposals", st.proposals)
+                .num("accepted", st.accepted)
+                .fixed("initial_hpwl", st.initial_hpwl, 2)
+                .fixed("final_hpwl", st.final_hpwl, 2)
+                .arr("trajectory", trajectory)
+        });
+        let base = tr.runs.iter().find(|b| b.threads == 1);
+        let speedups = tr
             .runs
             .iter()
             .filter(|r| r.threads != 1)
-            .filter_map(|r| {
-                tr.runs
-                    .iter()
-                    .find(|b| b.threads == 1)
-                    .map(|b| format!("        \"{}\": {:.2}", r.threads, b.best_ms / r.best_ms))
-            })
-            .collect();
-        let _ = writeln!(s, "      \"speedup_vs_threads1\": {{");
-        let _ = writeln!(s, "{}", speedups.join(",\n"));
+            .filter_map(|r| base.map(|b| (r.threads, b.best_ms / r.best_ms)))
+            .fold(Obj::new(), |o, (threads, x)| o.fixed(&threads.to_string(), x, 2));
+        let entry = Obj::new()
+            .str("target", tr.target.name())
+            .set(
+                "design",
+                Obj::new()
+                    .str("method", "ProposedFlat")
+                    .num("k", tr.target.lut_inputs())
+                    .num("luts_per_slice", tr.target.luts_per_slice())
+                    .num("luts", tr.mapped.num_luts())
+                    .num("slices", tr.packing.num_slices()),
+            )
+            .arr("runs", runs)
+            .set("speedup_vs_threads1", speedups);
         // The seed-commit reference point is only meaningful for the
         // exact configuration it was measured under (full m = 163 run
         // on artix7, the machine/session that produced the committed
         // artifact) — never attach it to --quick runs, other fields or
         // other fabrics.
         if m == 163 && opts.max_total_moves == 1_200_000 && tr.target == Target::Artix7 {
-            let _ = writeln!(s, "      }},");
-            let _ = writeln!(
-                s,
-                "      \"seed_baseline\": {{\"description\": \"place() wall-time at the seed commit (PR 1 annealer); only comparable on the machine that produced the committed artifact\", \"best_wall_ms\": 31226.8, \"mean_wall_ms\": 33041.0}}"
-            );
+            entry.set(
+                "seed_baseline",
+                Obj::new()
+                    .str("description", "place() wall-time at the seed commit (PR 1 annealer); only comparable on the machine that produced the committed artifact")
+                    .fixed("best_wall_ms", 31226.8, 1)
+                    .fixed("mean_wall_ms", 33041.0, 1),
+            )
         } else {
-            let _ = writeln!(s, "      }}");
+            entry
         }
-        let _ = writeln!(s, "    }}{}", if ti + 1 < results.len() { "," } else { "" });
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
+    });
+    bench_artifact(BENCH_PLACE_SCHEMA, m, n)
+        .set(
+            "place_options",
+            Obj::new()
+                .num("seed", opts.seed)
+                .num("moves_factor", opts.moves_factor)
+                .num("max_total_moves", opts.max_total_moves),
+        )
+        .set("small_grid", small_grid)
+        .arr("targets", targets)
+        .document()
 }

@@ -23,36 +23,25 @@ use netlist::LintReport;
 use rgf2m_bench::{arg_value, field_for, harness_pipeline};
 use rgf2m_core::{gen::generate, multiplier_spec, Method};
 use rgf2m_fpga::{lint_mapped, Target};
-use rgf2m_serve::json::json_string;
+use rgf2m_serve::json::Obj;
 
 /// Renders one lint pass as a `rgf2m-lint/1` record: the design, the
 /// level (`"gate"` or `"mapped:<target>"`) and every finding with its
 /// severity, kebab-case kind, anchor index and message.
-fn json_record(design: &str, level: &str, lint: &LintReport) -> String {
-    let mut s = format!(
-        "    {{\"design\": {}, \"level\": {}, \"errors\": {}, \"warnings\": {}, \"findings\": [",
-        json_string(design),
-        json_string(level),
-        lint.errors(),
-        lint.warnings()
-    );
-    for (i, f) in lint.findings().iter().enumerate() {
-        s.push_str(&format!(
-            "\n      {{\"severity\": {}, \"kind\": {}, \"node\": {}, \"message\": {}}}",
-            json_string(f.severity().name()),
-            json_string(f.kind.name()),
-            f.node,
-            json_string(&f.message)
-        ));
-        if i + 1 < lint.findings().len() {
-            s.push(',');
-        }
-    }
-    if !lint.findings().is_empty() {
-        s.push_str("\n    ");
-    }
-    s.push_str("]}");
-    s
+fn json_record(design: &str, level: &str, lint: &LintReport) -> Obj {
+    let findings = lint.findings().iter().map(|f| {
+        Obj::new()
+            .str("severity", f.severity().name())
+            .str("kind", f.kind.name())
+            .num("node", f.node)
+            .str("message", &f.message)
+    });
+    Obj::new()
+        .str("design", design)
+        .str("level", level)
+        .num("errors", lint.errors())
+        .num("warnings", lint.warnings())
+        .arr("findings", findings)
 }
 
 fn main() {
@@ -86,7 +75,7 @@ fn main() {
     let field = field_for(m, n);
     let spec = multiplier_spec(&field);
     let mut failures = 0usize;
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<Obj> = Vec::new();
     // With --deny-warnings, warnings count as failures too.
     let check = |lint: &LintReport, failures: &mut usize| {
         if lint.has_errors() || (deny_warnings && lint.warnings() > 0) {
@@ -173,10 +162,13 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let doc = format!(
-            "{{\n  \"schema\": \"rgf2m-lint/1\",\n  \"m\": {m}, \"n\": {n},\n  \"records\": [\n{}\n  ]\n}}\n",
-            records.join(",\n")
-        );
+        let doc = Obj::new()
+            .str("schema", "rgf2m-lint/1")
+            .num("m", m)
+            .num("n", n)
+            .same_line()
+            .arr("records", records)
+            .document();
         std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote {path} ({} bytes)", doc.len());
     }

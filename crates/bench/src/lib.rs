@@ -7,8 +7,9 @@
 //! adds the paper's published numbers ([`paper_data`]), the per-field
 //! flow drivers, the parallel [`BatchRunner`] ([`batch`]), the
 //! structured JSON/CSV report writers ([`report`]), daemon-backed
-//! execution against a running `rgf2m-served` ([`daemon`]) and the
-//! unified static-analysis gate ([`audit`]).
+//! execution against a running `rgf2m-served` ([`daemon`]), the
+//! unified static-analysis gate ([`audit`]) and the schema validators
+//! behind the `validate` bin ([`validate`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,6 +19,7 @@ pub mod batch;
 pub mod daemon;
 pub mod paper_data;
 pub mod report;
+pub mod validate;
 
 use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
@@ -27,17 +29,14 @@ use rgf2m_core::Method;
 use rgf2m_fpga::{ImplReport, Pipeline, PlaceOptions};
 
 pub use audit::{
-    audit_to_json, run_audit, validate_audit_json, AuditCell, AuditCheck, AuditOptions,
-    AuditReport, Fault, AUDIT_SCHEMA,
+    audit_to_json, run_audit, AuditCell, AuditCheck, AuditOptions, AuditReport, Fault, AUDIT_SCHEMA,
 };
 pub use batch::{
     cross_target_jobs, job_seed_from, table_v_jobs, table_v_jobs_on, BatchRow, BatchRunner, Job,
 };
 pub use daemon::run_rows_via_daemon;
-pub use report::{
-    rows_to_csv, rows_to_json, validate_bench_map_json, validate_table5_json, BENCH_MAP_SCHEMA,
-    TABLE5_SCHEMA,
-};
+pub use report::{rows_to_csv, rows_to_json, TABLE5_SCHEMA};
+pub use validate::{validate_json, BENCH_MAP_SCHEMA, BENCH_PLACE_SCHEMA};
 
 /// The six methods of the paper's Table V, in its row order:
 /// \[2\], \[8\], \[3\], \[6\], \[7\], This work.

@@ -64,7 +64,7 @@ pub mod server;
 pub mod store;
 
 pub use client::{Client, ClientJob, SynthOutcome};
-pub use json::{json_string, parse_json, JsonValue};
+pub use json::{json_string, parse_json, Json, JsonValue, Obj};
 pub use net::{AnyListener, Conn, Endpoint};
 pub use protocol::{FieldSpec, Request, SynthRequest, DEFAULT_SEED};
 pub use server::{default_template, ServerConfig, ServerHandle};

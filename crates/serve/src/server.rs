@@ -24,7 +24,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -33,12 +33,20 @@ use std::time::Instant;
 use rgf2m_core::Method;
 use rgf2m_fpga::{CacheStats, Pipeline, PlaceOptions, ReportSource, Target};
 
+use crate::json::{Json, Obj};
 use crate::net::{AnyListener, Conn, Endpoint};
 use crate::protocol::{
     encode_error, encode_shutdown_ack, encode_synth_ok, parse_request, FieldSpec, Request,
     SynthRequest, DEFAULT_SEED,
 };
 use crate::store::ArtifactStore;
+
+/// The longest request line the daemon reads, newline excluded: 1 MiB,
+/// far above any real request (a dense degree-571 `poly` is under
+/// 4 KiB). A longer line gets an error reply and is skipped without
+/// being buffered, so a client cannot grow the daemon's memory by
+/// never sending a newline.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// The annealing-proposal budget the daemon's default template is
 /// pinned to — equal to `rgf2m_bench::HARNESS_MAX_TOTAL_MOVES` (a
@@ -263,13 +271,23 @@ impl Shared {
             Ok(w) => Arc::new(Mutex::new(w)),
             Err(_) => return,
         };
-        let reader = BufReader::new(conn);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
+        let mut reader = BufReader::new(conn);
+        let mut buf = Vec::new();
+        let mut in_long_line = false;
+        while read_bounded(&mut reader, &mut buf) {
+            // A full buffer without its newline is part of an over-long
+            // line: answer its first chunk, skip the rest.
+            let cut = buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n');
+            if std::mem::replace(&mut in_long_line, cut) {
                 continue;
             }
-            match parse_request(&line) {
+            let request = match std::str::from_utf8(&buf) {
+                _ if cut => Err(format!("line longer than {MAX_REQUEST_LINE} bytes")),
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => parse_request(line),
+                Err(e) => Err(format!("not UTF-8: {e}")),
+            };
+            match request {
                 Err(e) => {
                     write_line(&writer, &encode_error(0, &format!("bad request: {e}")));
                 }
@@ -422,9 +440,9 @@ impl Shared {
 
     fn stats_line(&self, id: u64) -> String {
         let c = &self.counters;
-        let cache = {
+        let (pipelines, cache) = {
             let map = self.pipelines.lock().expect("pipelines poisoned");
-            map.values().fold(CacheStats::default(), |acc, p| {
+            let cache = map.values().fold(CacheStats::default(), |acc, p| {
                 let s = p.cache_stats();
                 CacheStats {
                     hits: acc.hits + s.hits,
@@ -433,53 +451,59 @@ impl Shared {
                     inserts: acc.inserts + s.inserts,
                     entries: acc.entries + s.entries,
                 }
-            })
+            });
+            (map.len(), cache)
         };
-        let pipelines = self.pipelines.lock().expect("pipelines poisoned").len();
         let store = match &self.store {
             Some(store) => {
                 let s = store.stats();
-                format!(
-                    "{{\"hits\": {}, \"misses\": {}, \"corrupt\": {}, \"writes\": {}, \"write_errors\": {}}}",
-                    s.hits, s.misses, s.corrupt, s.writes, s.write_errors
-                )
+                Obj::new()
+                    .num("hits", s.hits)
+                    .num("misses", s.misses)
+                    .num("corrupt", s.corrupt)
+                    .num("writes", s.writes)
+                    .num("write_errors", s.write_errors)
+                    .into()
             }
-            None => "null".to_string(),
+            None => Json::Raw("null".into()),
         };
-        let timings = {
-            let t = self.timings.lock().expect("timings poisoned");
-            let stage = |s: &StageTime| {
-                format!(
-                    "{{\"count\": {}, \"total_us\": {}, \"max_us\": {}}}",
-                    s.count, s.total_us, s.max_us
-                )
-            };
-            format!(
-                "{{\"generate\": {}, \"synth\": {}}}",
-                stage(&t[STAGE_GENERATE]),
-                stage(&t[STAGE_SYNTH])
+        let timings = *self.timings.lock().expect("timings poisoned");
+        let stage = |s: StageTime| {
+            Obj::new()
+                .num("count", s.count)
+                .num("total_us", s.total_us)
+                .num("max_us", s.max_us)
+        };
+        let count = |n: &AtomicUsize| n.load(Ordering::Relaxed);
+        Obj::new()
+            .num("id", id)
+            .bool("ok", true)
+            .str("schema", "rgf2m-stats/1")
+            .num("jobs_received", count(&c.jobs_received))
+            .num("jobs_ok", count(&c.jobs_ok))
+            .num("jobs_failed", count(&c.jobs_failed))
+            .num("dedup_waits", count(&c.dedup_waits))
+            .num("computed", count(&c.computed))
+            .num("from_memory", count(&c.from_memory))
+            .num("from_store", count(&c.from_store))
+            .num("pipelines", pipelines)
+            .set(
+                "cache",
+                Obj::new()
+                    .num("hits", cache.hits)
+                    .num("store_hits", cache.store_hits)
+                    .num("misses", cache.misses)
+                    .num("inserts", cache.inserts)
+                    .num("entries", cache.entries),
             )
-        };
-        format!(
-            "{{\"id\": {id}, \"ok\": true, \"schema\": \"rgf2m-stats/1\", \
-             \"jobs_received\": {}, \"jobs_ok\": {}, \"jobs_failed\": {}, \
-             \"dedup_waits\": {}, \"computed\": {}, \"from_memory\": {}, \"from_store\": {}, \
-             \"pipelines\": {pipelines}, \
-             \"cache\": {{\"hits\": {}, \"store_hits\": {}, \"misses\": {}, \"inserts\": {}, \"entries\": {}}}, \
-             \"store\": {store}, \"timings\": {timings}}}",
-            c.jobs_received.load(Ordering::Relaxed),
-            c.jobs_ok.load(Ordering::Relaxed),
-            c.jobs_failed.load(Ordering::Relaxed),
-            c.dedup_waits.load(Ordering::Relaxed),
-            c.computed.load(Ordering::Relaxed),
-            c.from_memory.load(Ordering::Relaxed),
-            c.from_store.load(Ordering::Relaxed),
-            cache.hits,
-            cache.store_hits,
-            cache.misses,
-            cache.inserts,
-            cache.entries
-        )
+            .set("store", store)
+            .set(
+                "timings",
+                Obj::new()
+                    .set("generate", stage(timings[STAGE_GENERATE]))
+                    .set("synth", stage(timings[STAGE_SYNTH])),
+            )
+            .inline()
     }
 
     // ---------------- shutdown ----------------
@@ -506,6 +530,14 @@ impl Shared {
             let _ = conn.shutdown();
         }
     }
+}
+
+/// Reads the next line into `buf` (cleared first), stopping one byte
+/// past [`MAX_REQUEST_LINE`]; false at end of input or on a read error.
+fn read_bounded(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> bool {
+    buf.clear();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    matches!(reader.take(limit).read_until(b'\n', buf), Ok(n) if n > 0)
 }
 
 fn write_line(out: &Arc<Mutex<Conn>>, line: &str) {
