@@ -1,5 +1,8 @@
 //! Slice packing: grouping LUTs into slices (4 LUT6 per 7-series slice).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::lut::{LutNetlist, Signal};
 
 /// A packing of LUTs into slices.
@@ -51,6 +54,15 @@ impl Packing {
 /// assert!(packing.num_slices() >= mapped.num_luts().div_ceil(4));
 /// ```
 pub fn pack_slices(lutnet: &LutNetlist, luts_per_slice: usize) -> Packing {
+    let (mut slices, mut slice_of) = affinity_pack(lutnet, luts_per_slice);
+    consolidate(&mut slices, &mut slice_of, luts_per_slice);
+    compact(slices, slice_of)
+}
+
+/// The greedy affinity phase: LUTs in topological order, each into the
+/// open slice sharing the most signals with it, else into a new slice.
+/// Returns the slices and each LUT's slice index.
+fn affinity_pack(lutnet: &LutNetlist, luts_per_slice: usize) -> (Vec<Vec<u32>>, Vec<u32>) {
     assert!(luts_per_slice >= 1);
     let n = lutnet.num_luts();
     let mut slices: Vec<Vec<u32>> = Vec::new();
@@ -94,37 +106,54 @@ pub fn pack_slices(lutnet: &LutNetlist, luts_per_slice: usize) -> Packing {
         // Retire full slices from the open list.
         open.retain(|(s, _)| slices[*s].len() < luts_per_slice);
     }
-    // Consolidation pass: the affinity phase leaves many underfull
-    // slices on designs wider than the open window. Real packers fill
-    // slices under area pressure even without affinity, so merge
-    // underfull slices greedily until no two can be combined. This is
-    // what produces the LUT/slice ratios (≈ 3) of the paper's Table V.
+    (slices, slice_of)
+}
+
+/// Consolidation pass: the affinity phase leaves many underfull slices
+/// on designs wider than the open window. Real packers fill slices
+/// under area pressure even without affinity, so underfull slices are
+/// merged greedily, which produces the LUT/slice ratios (≈ 3) of the
+/// paper's Table V.
+///
+/// Slices are visited largest first. Each one pours into the earliest
+/// underfull slice visited before it that still has room (first fit),
+/// or else becomes a fill target itself. Targets sit in buckets by
+/// free capacity, each a min-heap on visit rank, so first fit is the
+/// lowest rank among the heads of the buckets with room: O(S log S)
+/// over S slices where a scan of all targets would be O(S²).
+fn consolidate(slices: &mut [Vec<u32>], slice_of: &mut [u32], luts_per_slice: usize) {
     let mut order: Vec<usize> = (0..slices.len()).collect();
     order.sort_by_key(|&s| slices[s].len());
-    let mut merged_into: Vec<Option<usize>> = vec![None; slices.len()];
-    let mut fill_targets: Vec<usize> = Vec::new();
-    for &s in order.iter().rev() {
-        if slices[s].is_empty() {
+    // `by_free[f]` holds (visit rank, slice) of the targets with `f`
+    // free LUT sites.
+    let mut by_free: Vec<BinaryHeap<Reverse<(usize, usize)>>> =
+        vec![BinaryHeap::new(); luts_per_slice + 1];
+    for (rank, &s) in order.iter().rev().enumerate() {
+        let need = slices[s].len();
+        if need == 0 {
             continue;
         }
-        // Try to pour this slice into an existing target with room.
-        let need = slices[s].len();
-        if let Some(pos) = fill_targets
-            .iter()
-            .position(|&t| t != s && slices[t].len() + need <= luts_per_slice)
-        {
-            let t = fill_targets[pos];
+        let first_fit = (need..=luts_per_slice)
+            .filter_map(|free| by_free[free].peek().map(|&Reverse(target)| (target, free)))
+            .min();
+        if let Some(((rank_t, t), free)) = first_fit {
+            by_free[free].pop();
             let moved = std::mem::take(&mut slices[s]);
             for &l in &moved {
                 slice_of[l as usize] = t as u32;
             }
             slices[t].extend(moved);
-            merged_into[s] = Some(t);
-        } else if slices[s].len() < luts_per_slice {
-            fill_targets.push(s);
+            if free > need {
+                by_free[free - need].push(Reverse((rank_t, t)));
+            }
+        } else if need < luts_per_slice {
+            by_free[luts_per_slice - need].push(Reverse((rank, s)));
         }
     }
-    // Compact away emptied slices.
+}
+
+/// Drops the slices consolidation emptied and renumbers the rest.
+fn compact(slices: Vec<Vec<u32>>, mut slice_of: Vec<u32>) -> Packing {
     let mut remap = vec![u32::MAX; slices.len()];
     let mut compact: Vec<Vec<u32>> = Vec::new();
     for (s, luts) in slices.into_iter().enumerate() {
@@ -241,5 +270,142 @@ mod tests {
     fn single_lut_single_slice() {
         let net = chain(1);
         assert_eq!(pack_slices(&net, 4).num_slices(), 1);
+    }
+
+    // ---- the bucketed consolidation equals the first-fit scan ----
+
+    /// The original consolidation pass: a linear first-fit scan over
+    /// every fill target ever opened. The oracle for [`consolidate`].
+    fn consolidate_linear(slices: &mut [Vec<u32>], slice_of: &mut [u32], luts_per_slice: usize) {
+        let mut order: Vec<usize> = (0..slices.len()).collect();
+        order.sort_by_key(|&s| slices[s].len());
+        let mut fill_targets: Vec<usize> = Vec::new();
+        for &s in order.iter().rev() {
+            if slices[s].is_empty() {
+                continue;
+            }
+            let need = slices[s].len();
+            if let Some(pos) = fill_targets
+                .iter()
+                .position(|&t| t != s && slices[t].len() + need <= luts_per_slice)
+            {
+                let t = fill_targets[pos];
+                let moved = std::mem::take(&mut slices[s]);
+                for &l in &moved {
+                    slice_of[l as usize] = t as u32;
+                }
+                slices[t].extend(moved);
+            } else if slices[s].len() < luts_per_slice {
+                fill_targets.push(s);
+            }
+        }
+    }
+
+    fn pack_slices_linear(lutnet: &LutNetlist, luts_per_slice: usize) -> Packing {
+        let (mut slices, mut slice_of) = affinity_pack(lutnet, luts_per_slice);
+        consolidate_linear(&mut slices, &mut slice_of, luts_per_slice);
+        compact(slices, slice_of)
+    }
+
+    fn assert_same_packing(lutnet: &LutNetlist, luts_per_slice: usize, what: &str) {
+        let fast = pack_slices(lutnet, luts_per_slice);
+        let oracle = pack_slices_linear(lutnet, luts_per_slice);
+        assert_eq!(fast.slices(), oracle.slices(), "{what}: slices differ");
+        for l in 0..lutnet.num_luts() as u32 {
+            assert_eq!(fast.slice_of(l), oracle.slice_of(l), "{what}: LUT {l}");
+        }
+    }
+
+    #[test]
+    fn bucketed_consolidation_matches_the_linear_scan_on_table_v_designs() {
+        use crate::map::map_to_luts;
+        use crate::resynth::rebalance_xors;
+        use crate::Target;
+        use gf2m::Field;
+        use gf2poly::TypeIiPentanomial;
+        use rgf2m_core::{generate, Method};
+
+        for (m, n) in [(8, 2), (163, 68)] {
+            let field = Field::from_pentanomial(&TypeIiPentanomial::new(m, n).unwrap());
+            for method in Method::ALL {
+                let net = generate(&field, method);
+                for target in Target::ALL {
+                    let resynth = rebalance_xors(&net, target.lut_inputs());
+                    let mapped = map_to_luts(&resynth, &target.map_options());
+                    let what = format!("({m}, {n}) {method:?} on {target:?}");
+                    assert_same_packing(&mapped, target.luts_per_slice(), &what);
+                }
+            }
+        }
+    }
+
+    /// Disconnected LUT groups of the given sizes (each at most one
+    /// slice): each group is a chain the affinity phase keeps in one
+    /// slice of its own, so consolidation starts from exactly these
+    /// slice sizes.
+    fn mixed_groups(group_sizes: &[usize]) -> LutNetlist {
+        let mut net = LutNetlist::new(
+            "mixed".into(),
+            6,
+            (0..group_sizes.len()).map(|g| format!("x{g}")).collect(),
+        );
+        for (g, &size) in group_sizes.iter().enumerate() {
+            let mut prev = Signal::Input(g as u32);
+            for _ in 0..size {
+                let id = net.push_lut(Lut {
+                    inputs: vec![prev],
+                    truth: crate::lut::Truth::of(0b01),
+                });
+                prev = Signal::Lut(id);
+            }
+            net.push_output(format!("y{g}"), prev);
+        }
+        net
+    }
+
+    #[test]
+    fn bucketed_consolidation_matches_the_linear_scan_on_mixed_slice_sizes() {
+        let mut state = 0x9E37_79B9_u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        for luts_per_slice in [2, 4, 7, 10] {
+            for round in 0..4 {
+                // Mostly slices of at most half capacity, so targets take
+                // several of them; a fifth of any size.
+                let sizes: Vec<usize> = (0..200)
+                    .map(|_| match next(5) {
+                        0 => 1 + next(luts_per_slice),
+                        _ => 1 + next(luts_per_slice.div_ceil(2)),
+                    })
+                    .collect();
+                let net = mixed_groups(&sizes);
+                let what = format!("luts_per_slice {luts_per_slice}, round {round}");
+                assert_same_packing(&net, luts_per_slice, &what);
+                // Partly filled targets really are re-bucketed: some
+                // slice ends up holding LUTs of three or more groups.
+                let p = pack_slices(&net, luts_per_slice);
+                if luts_per_slice >= 4 {
+                    let group_of = |l: u32| {
+                        let mut end = 0;
+                        sizes.iter().position(|&n| {
+                            end += n;
+                            (l as usize) < end
+                        })
+                    };
+                    assert!(
+                        p.slices().iter().any(|s| {
+                            let mut groups: Vec<_> = s.iter().map(|&l| group_of(l)).collect();
+                            groups.dedup();
+                            groups.len() >= 3
+                        }),
+                        "{what}: no slice took a third group"
+                    );
+                }
+            }
+        }
     }
 }

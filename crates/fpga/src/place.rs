@@ -17,9 +17,17 @@
 //!   to the next, so a slice is never locked into one band for the
 //!   whole anneal — moves proposed in step `i+1` can carry it across
 //!   the boundaries of step `i`.
-//! * **Incremental cost** — per-net bounding boxes are cached, so a
-//!   proposal only recomputes nets whose box can actually change (a pin
-//!   leaving the interior of its net's box cannot change its HPWL).
+//! * **Incremental cost** — per-net bounding boxes are cached, and a
+//!   proposal only looks again at nets whose box can actually change. A
+//!   net holding both swapped slices keeps its pin set, so its box
+//!   stands; so does a box whose moving pin stays strictly inside it.
+//!   Nets of 16 or more pins also cache how many pins sit on each of
+//!   the four box edges (the incremental bounding box of Betz & Rose's
+//!   VPR), so one moving pin updates their box in O(1); a net is
+//!   rescanned only when an edge loses its last pin. Smaller nets are
+//!   rescanned directly, which is cheaper than the bookkeeping.
+//!   Boxes are exact `f32` extremes either way, so every delta, and so
+//!   every accept/reject decision, is the same as a full recomputation.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,6 +41,9 @@ const T_MIN: f64 = 0.01;
 const COOLING: f64 = 0.85;
 /// Proposals sampled (and charged) to pick the initial temperature.
 const PROBE_PROPOSALS: usize = 64;
+/// Nets with at least this many pins (slices plus pads) keep per-edge
+/// pin counts next to their cached box; smaller nets are rescanned.
+const COUNTED_NET_PINS: usize = 16;
 
 /// A placed design: grid dimensions, one grid cell per slice, and fixed
 /// virtual pad positions for the primary inputs/outputs.
@@ -93,17 +104,15 @@ pub struct Net {
     pub pads: Vec<(f32, f32)>,
 }
 
-/// Extracts the placement netlist (one net per signal driver that has
-/// sinks) in slice coordinates.
-pub fn extract_nets(
-    lutnet: &LutNetlist,
-    packing: &Packing,
-    placement_seeding: &Placement,
-) -> Vec<Net> {
-    let _ = placement_seeding;
-    build_nets(lutnet, packing)
+impl Net {
+    /// Whether the annealer keeps edge counts for this net.
+    fn counted(&self) -> bool {
+        self.slices.len() + self.pads.len() >= COUNTED_NET_PINS
+    }
 }
 
+/// Builds the placement netlist (one net per signal driver that has
+/// sinks) in slice coordinates.
 fn build_nets(lutnet: &LutNetlist, packing: &Packing) -> Vec<Net> {
     // Driver key: input index or LUT id.
     use std::collections::HashMap;
@@ -381,54 +390,11 @@ pub fn place_with_stats(
         // slices can migrate between bands across steps. Each shard's
         // work area (and its result buffers) is allocated once and
         // re-synced with the merged master state at every step barrier.
-        let bands = band_ranges(h, shards);
-        let mut workers: Vec<Annealer> = (0..shards).map(|_| ann.fork()).collect();
-        let mut shard_out: Vec<ShardResult> = (0..shards).map(|_| ShardResult::default()).collect();
+        let mut shards = Shards::new(&ann, h, shards);
         let mut step: u64 = 0;
         while t > T_MIN && spent < budget {
             let alloc = moves_per_temp.min(budget - spent);
-            let offset = band_offset(opts.seed, step, h);
-            for worker in workers.iter_mut() {
-                worker.sync_from(&ann);
-            }
-            std::thread::scope(|scope| {
-                for (k, ((&(r0, r1), worker), out)) in bands
-                    .iter()
-                    .zip(workers.iter_mut())
-                    .zip(shard_out.iter_mut())
-                    .enumerate()
-                {
-                    let n_moves = alloc / shards + usize::from(k < alloc % shards);
-                    let rng = StdRng::seed_from_u64(shard_seed(opts.seed, step, k as u64));
-                    let band = Band {
-                        start_row: (r0 + offset) % h,
-                        rows: r1 - r0,
-                        h,
-                    };
-                    scope.spawn(move || anneal_shard(worker, out, band, t, rng, n_moves));
-                }
-            });
-            // Merge: band cells and positions first (boxes span bands,
-            // so they can only be recomputed once every pin has landed),
-            // then refresh exactly the nets some shard's accepted moves
-            // dirtied — every other cached box is still exact.
-            let mut accepted = 0usize;
-            for (&(r0, _), res) in bands.iter().zip(shard_out.iter()) {
-                let start_row = (r0 + offset) % h;
-                for (local_row, chunk) in res.cells.chunks_exact(w).enumerate() {
-                    let row = (start_row + local_row) % h;
-                    ann.cells[row * w..row * w + w].copy_from_slice(chunk);
-                }
-                for &(s, p) in &res.moved {
-                    ann.pos[s as usize] = p;
-                }
-                accepted += res.accepted;
-            }
-            for worker in &workers {
-                for &ni in &worker.dirty {
-                    ann.boxes[ni as usize] = NetBox::compute(&ann.nets[ni as usize], &ann.pos);
-                }
-            }
+            let accepted = shards.step(&mut ann, opts.seed, step, t, alloc);
             spent += alloc;
             stats.accepted += accepted;
             stats.trajectory.push(TempStep {
@@ -445,6 +411,87 @@ pub fn place_with_stats(
     stats.final_hpwl = ann.total_hpwl();
     placement.pos = ann.pos;
     (placement, stats)
+}
+
+/// The parallel annealer's per-shard state: row bands, one persistent
+/// work area per band and the buffers each band hands back.
+struct Shards<'a> {
+    h: usize,
+    bands: Vec<(usize, usize)>,
+    workers: Vec<Annealer<'a>>,
+    out: Vec<ShardResult>,
+}
+
+impl<'a> Shards<'a> {
+    /// Work areas for `shards` bands of an `h`-row grid, forked once from
+    /// `master` and re-synced at every step.
+    fn new(master: &Annealer<'a>, h: usize, shards: usize) -> Self {
+        Shards {
+            h,
+            bands: band_ranges(h, shards),
+            workers: (0..shards).map(|_| master.fork()).collect(),
+            out: (0..shards).map(|_| ShardResult::default()).collect(),
+        }
+    }
+
+    /// One temperature step: `alloc` proposals at temperature `t` split
+    /// over the bands (rotated for `step`), run in parallel and merged
+    /// into `master`. Returns the accepted proposals.
+    fn step(
+        &mut self,
+        master: &mut Annealer<'a>,
+        seed: u64,
+        step: u64,
+        t: f64,
+        alloc: usize,
+    ) -> usize {
+        let (h, w) = (self.h, master.w);
+        let shards = self.bands.len();
+        let offset = band_offset(seed, step, h);
+        for worker in self.workers.iter_mut() {
+            worker.sync_from(master);
+        }
+        std::thread::scope(|scope| {
+            for (k, ((&(r0, r1), worker), out)) in self
+                .bands
+                .iter()
+                .zip(self.workers.iter_mut())
+                .zip(self.out.iter_mut())
+                .enumerate()
+            {
+                let n_moves = alloc / shards + usize::from(k < alloc % shards);
+                let rng = StdRng::seed_from_u64(shard_seed(seed, step, k as u64));
+                let band = Band {
+                    start_row: (r0 + offset) % h,
+                    rows: r1 - r0,
+                    h,
+                };
+                scope.spawn(move || anneal_shard(worker, out, band, t, rng, n_moves));
+            }
+        });
+        // Merge: band cells and positions first (boxes span bands, so
+        // they can only be recomputed once every pin has landed), then
+        // refresh exactly the nets some shard's accepted moves dirtied;
+        // every other cached box and edge count is still exact.
+        let mut accepted = 0usize;
+        for (&(r0, _), res) in self.bands.iter().zip(self.out.iter()) {
+            let start_row = (r0 + offset) % h;
+            for (local_row, chunk) in res.cells.chunks_exact(w).enumerate() {
+                let row = (start_row + local_row) % h;
+                master.cells[row * w..row * w + w].copy_from_slice(chunk);
+            }
+            for &(s, p) in &res.moved {
+                master.pos[s as usize] = p;
+            }
+            accepted += res.accepted;
+        }
+        for worker in &self.workers {
+            for &ni in &worker.dirty {
+                master.rescan(ni as usize);
+            }
+        }
+        accepted
+    }
 }
 
 /// Draws a pair of distinct cell indices in `[0, n)`; `n` must be ≥ 2.
@@ -537,29 +584,77 @@ impl NetBox {
         b
     }
 
-    /// Like [`NetBox::compute`], with up to two slices' positions
-    /// overridden (the tentatively-moved slices of a swap proposal).
-    fn compute_moved(
-        net: &Net,
-        pos: &[(f32, f32)],
-        ma: (Option<u32>, (f32, f32)),
-        mb: (Option<u32>, (f32, f32)),
-    ) -> NetBox {
+    /// Like [`NetBox::compute`], with slice `moved.0` at `moved.1`
+    /// (the tentatively-moved slice of a swap proposal).
+    fn compute_moved(net: &Net, pos: &[(f32, f32)], moved: (u32, (f32, f32))) -> NetBox {
         let mut b = NetBox::EMPTY;
         for &s in &net.slices {
-            let p = if Some(s) == ma.0 {
-                ma.1
-            } else if Some(s) == mb.0 {
-                mb.1
+            b.add(if s == moved.0 {
+                moved.1
             } else {
                 pos[s as usize]
-            };
-            b.add(p);
+            });
         }
         for &p in &net.pads {
             b.add(p);
         }
         b
+    }
+
+    /// The box and its edge counts in one pass over the pins, with slice
+    /// `moved.0` at `moved.1` if given.
+    fn scan(
+        net: &Net,
+        pos: &[(f32, f32)],
+        moved: Option<(u32, (f32, f32))>,
+    ) -> (NetBox, EdgeCounts) {
+        let mut b = NetBox::EMPTY;
+        let mut c = EdgeCounts::default();
+        let mut add = |(x, y): (f32, f32)| {
+            take_edge(&mut b.min_x, &mut c.min_x, x, lt);
+            take_edge(&mut b.max_x, &mut c.max_x, x, gt);
+            take_edge(&mut b.min_y, &mut c.min_y, y, lt);
+            take_edge(&mut b.max_y, &mut c.max_y, y, gt);
+        };
+        for &s in &net.slices {
+            match moved {
+                Some((m, p)) if m == s => add(p),
+                _ => add(pos[s as usize]),
+            }
+        }
+        for &p in &net.pads {
+            add(p);
+        }
+        (b, c)
+    }
+
+    /// The box and edge counts after one pin moves from `from` to `to`,
+    /// in O(1); `None` when an edge loses its last pin, since only a
+    /// rescan can find the new edge.
+    fn shift_pin(
+        &self,
+        c: EdgeCounts,
+        (fx, fy): (f32, f32),
+        (tx, ty): (f32, f32),
+    ) -> Option<(NetBox, EdgeCounts)> {
+        let (min_x, n_min_x) = shift_edge(self.min_x, c.min_x, fx, tx, lt)?;
+        let (max_x, n_max_x) = shift_edge(self.max_x, c.max_x, fx, tx, gt)?;
+        let (min_y, n_min_y) = shift_edge(self.min_y, c.min_y, fy, ty, lt)?;
+        let (max_y, n_max_y) = shift_edge(self.max_y, c.max_y, fy, ty, gt)?;
+        Some((
+            NetBox {
+                min_x,
+                max_x,
+                min_y,
+                max_y,
+            },
+            EdgeCounts {
+                min_x: n_min_x,
+                max_x: n_max_x,
+                min_y: n_min_y,
+                max_y: n_max_y,
+            },
+        ))
     }
 
     /// Half-perimeter wirelength of this box (0 for empty nets).
@@ -583,6 +678,56 @@ impl NetBox {
     }
 }
 
+/// How many pins sit on each edge of a net's cached [`NetBox`]. Kept
+/// for [`Net::counted`] nets; all zero for the others.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct EdgeCounts {
+    min_x: u32,
+    max_x: u32,
+    min_y: u32,
+    max_y: u32,
+}
+
+fn lt(a: f32, b: f32) -> bool {
+    a < b
+}
+
+fn gt(a: f32, b: f32) -> bool {
+    a > b
+}
+
+/// Adds a pin at coordinate `v` to one box edge and its pin count;
+/// `beyond(a, b)` says `a` lies past `b` on that edge's side.
+fn take_edge(edge: &mut f32, count: &mut u32, v: f32, beyond: fn(f32, f32) -> bool) {
+    if beyond(v, *edge) {
+        *edge = v;
+        *count = 1;
+    } else if v == *edge {
+        *count += 1;
+    }
+}
+
+/// One box edge and its pin count after a pin moves from coordinate
+/// `from` to `to`; `None` when the edge is left without a pin.
+fn shift_edge(
+    edge: f32,
+    count: u32,
+    from: f32,
+    to: f32,
+    beyond: fn(f32, f32) -> bool,
+) -> Option<(f32, u32)> {
+    let left = count - u32::from(from == edge);
+    if beyond(to, edge) {
+        Some((to, 1))
+    } else if to == edge {
+        Some((edge, left + 1))
+    } else if left > 0 {
+        Some((edge, left))
+    } else {
+        None
+    }
+}
+
 /// One net touched by the current proposal.
 #[derive(Debug, Clone, Copy)]
 struct Touched {
@@ -593,14 +738,16 @@ struct Touched {
     /// `cb`. Collected from the incidence lists, so no per-net
     /// membership search is needed on the hot path.
     movers: u8,
-    /// The recomputed box when the proposal changes it (`None` = box
-    /// provably unchanged).
+    /// The recomputed box when the proposal may change it (`None` = box
+    /// and edge counts provably unchanged).
     nb: Option<NetBox>,
+    /// The edge counts going with `nb`.
+    edges: EdgeCounts,
 }
 
 /// The annealing work area one worker owns while proposing swaps: the
 /// shared netlist structure plus mutable positions, cell contents and
-/// cached per-net bounding boxes. All per-proposal scratch
+/// cached per-net bounding boxes and edge counts. All per-proposal scratch
 /// (`touched`, the `stamp`/`slot` epoch maps) lives here, allocated
 /// once per work area and reused for every proposal — the inner
 /// annealing loop never allocates.
@@ -611,6 +758,8 @@ struct Annealer<'a> {
     pos: Vec<(f32, f32)>,
     cells: Vec<Option<u32>>,
     boxes: Vec<NetBox>,
+    /// Per-net edge counts of `boxes` (zero for uncounted nets).
+    edges: Vec<EdgeCounts>,
     /// Scratch: net → epoch of the proposal that last touched it.
     stamp: Vec<u64>,
     /// Scratch: net → its index in `touched` (valid only while
@@ -635,20 +784,34 @@ impl<'a> Annealer<'a> {
         pos: Vec<(f32, f32)>,
         cells: Vec<Option<u32>>,
     ) -> Self {
-        let boxes = nets.iter().map(|n| NetBox::compute(n, &pos)).collect();
-        Annealer {
+        let mut ann = Annealer {
             nets,
             incident,
             w,
             pos,
             cells,
-            boxes,
+            boxes: vec![NetBox::EMPTY; nets.len()],
+            edges: vec![EdgeCounts::default(); nets.len()],
             stamp: vec![0; nets.len()],
             slot: vec![0; nets.len()],
             epoch: 0,
             touched: Vec::new(),
             dirty: Vec::new(),
             dirty_flag: vec![false; nets.len()],
+        };
+        for ni in 0..nets.len() {
+            ann.rescan(ni);
+        }
+        ann
+    }
+
+    /// Recomputes net `ni`'s cached box (and edge counts) from `pos`.
+    fn rescan(&mut self, ni: usize) {
+        let net = &self.nets[ni];
+        if net.counted() {
+            (self.boxes[ni], self.edges[ni]) = NetBox::scan(net, &self.pos, None);
+        } else {
+            self.boxes[ni] = NetBox::compute(net, &self.pos);
         }
     }
 
@@ -665,6 +828,7 @@ impl<'a> Annealer<'a> {
             pos: self.pos.clone(),
             cells: self.cells.clone(),
             boxes: self.boxes.clone(),
+            edges: self.edges.clone(),
             stamp: vec![0; self.nets.len()],
             slot: vec![0; self.nets.len()],
             epoch: 0,
@@ -676,13 +840,14 @@ impl<'a> Annealer<'a> {
 
     /// Re-syncs this shard work area with the merged master state at a
     /// temperature-step barrier, reusing every buffer: positions, cell
-    /// contents and boxes are copied in place, the dirty set is
+    /// contents, boxes and edge counts are copied in place, the dirty set is
     /// drained. The epoch scratch carries over (stamps from earlier
     /// steps are simply stale).
     fn sync_from(&mut self, master: &Annealer<'a>) {
         self.pos.copy_from_slice(&master.pos);
         self.cells.copy_from_slice(&master.cells);
         self.boxes.copy_from_slice(&master.boxes);
+        self.edges.copy_from_slice(&master.edges);
         for ni in self.dirty.drain(..) {
             self.dirty_flag[ni as usize] = false;
         }
@@ -718,6 +883,7 @@ impl<'a> Annealer<'a> {
                         ni,
                         movers: 1 << mi,
                         nb: None,
+                        edges: EdgeCounts::default(),
                     });
                 } else {
                     self.touched[self.slot[nu] as usize].movers |= 1 << mi;
@@ -725,36 +891,47 @@ impl<'a> Annealer<'a> {
             }
         }
         // For each touched net decide whether its box can change, and if
-        // so recompute it with the tentative positions. A mover strictly
-        // inside the box whose destination is also inside cannot change
-        // the box, so those nets are skipped entirely.
+        // so find the new one. A net holding both movers only trades
+        // their two positions, so its pin set and box stand. A single
+        // mover strictly inside the box whose destination is inside too
+        // (strictly, for counted nets, whose edge counts must also stay)
+        // cannot change it either.
         let mut delta = 0.0;
         for i in 0..self.touched.len() {
             let Touched { ni, movers, .. } = self.touched[i];
+            let (s, from, to) = match movers {
+                0b01 => (sa, pa, pb),
+                0b10 => (sb, pb, pa),
+                _ => continue,
+            };
+            let s = s.expect("mover bit set for an empty cell");
             let ni = ni as usize;
             let net = &self.nets[ni];
             let cached = self.boxes[ni];
-            let mut needs = false;
-            for (mi, (s, to)) in [(sa, pb), (sb, pa)].into_iter().enumerate() {
-                if movers & (1 << mi) == 0 {
+            let (nb, edges) = if net.counted() {
+                if !(cached.on_boundary(from) || cached.on_boundary(to)) {
                     continue;
                 }
-                let s = s.expect("mover bit set for an empty cell");
-                let from = self.pos[s as usize];
-                needs |= cached.on_boundary(from) || cached.outside(to);
-            }
-            if needs {
-                let nb = NetBox::compute_moved(net, &self.pos, (sa, pb), (sb, pa));
-                delta += nb.hpwl() - cached.hpwl();
-                self.touched[i].nb = Some(nb);
-            }
+                cached
+                    .shift_pin(self.edges[ni], from, to)
+                    .unwrap_or_else(|| NetBox::scan(net, &self.pos, Some((s, to))))
+            } else {
+                if !(cached.on_boundary(from) || cached.outside(to)) {
+                    continue;
+                }
+                let nb = NetBox::compute_moved(net, &self.pos, (s, to));
+                (nb, EdgeCounts::default())
+            };
+            delta += nb.hpwl() - cached.hpwl();
+            self.touched[i].nb = Some(nb);
+            self.touched[i].edges = edges;
         }
         delta
     }
 
     /// Applies the swap most recently evaluated by [`Annealer::propose`]
     /// for the same `(ca, cb)` pair, updating positions, cell contents
-    /// and the cached boxes of the affected nets.
+    /// and the cached boxes and edge counts of the affected nets.
     fn accept(&mut self, ca: usize, cb: usize) {
         let sa = self.cells[ca];
         let sb = self.cells[cb];
@@ -766,9 +943,10 @@ impl<'a> Annealer<'a> {
         }
         self.cells.swap(ca, cb);
         for i in 0..self.touched.len() {
-            let Touched { ni, nb, .. } = self.touched[i];
+            let Touched { ni, nb, edges, .. } = self.touched[i];
             if let Some(nb) = nb {
                 self.boxes[ni as usize] = nb;
+                self.edges[ni as usize] = edges;
                 if !self.dirty_flag[ni as usize] {
                     self.dirty_flag[ni as usize] = true;
                     self.dirty.push(ni);
@@ -878,6 +1056,47 @@ mod tests {
         }
         net.push_output("y".into(), *ids.last().unwrap());
         net
+    }
+
+    /// Wide nets: every LUT reads one of three shared inputs and its
+    /// predecessor, and every fifth drives an output, so the input nets
+    /// span most slices and keep edge counts.
+    fn wide_lutnet(luts: usize) -> LutNetlist {
+        let mut net = LutNetlist::new("w".into(), 6, vec!["a".into(), "b".into(), "c".into()]);
+        let mut prev = None;
+        for i in 0..luts {
+            let mut inputs = vec![Signal::Input((i % 3) as u32)];
+            inputs.extend(prev);
+            let id = net.push_lut(Lut {
+                inputs,
+                truth: crate::lut::Truth::of(0b0110),
+            });
+            prev = Some(Signal::Lut(id));
+            if i % 5 == 4 {
+                net.push_output(format!("y{i}"), Signal::Lut(id));
+            }
+        }
+        net
+    }
+
+    /// Asserts every cached box and edge count equals one rebuilt from
+    /// scratch over the work area's positions.
+    fn assert_cache_exact(ann: &Annealer<'_>, what: &str) {
+        for (ni, net) in ann.nets.iter().enumerate() {
+            assert_eq!(
+                ann.boxes[ni],
+                NetBox::compute(net, &ann.pos),
+                "{what}: net {ni} box"
+            );
+            let edges = if net.counted() {
+                let (b, c) = NetBox::scan(net, &ann.pos, None);
+                assert_eq!(b, ann.boxes[ni], "{what}: net {ni} scanned box");
+                c
+            } else {
+                EdgeCounts::default()
+            };
+            assert_eq!(ann.edges[ni], edges, "{what}: net {ni} edge counts");
+        }
     }
 
     fn snake_pos(s: usize, w: usize) -> (f32, f32) {
@@ -1090,6 +1309,7 @@ mod tests {
             .collect();
         let before_cells = ann.cells.clone();
         let before_boxes = ann.boxes.clone();
+        let before_edges = ann.edges.clone();
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..200 {
             let (ca, cb) = draw_pair(&mut rng, w * h);
@@ -1104,36 +1324,89 @@ mod tests {
         assert_eq!(before_pos, after_pos);
         assert_eq!(before_cells, ann.cells);
         assert_eq!(before_boxes, ann.boxes);
+        assert_eq!(before_edges, ann.edges);
     }
 
     #[test]
     fn proposal_deltas_match_recomputed_hpwl() {
-        let lutnet = dense_lutnet(70);
-        let packing = pack_slices(&lutnet, 4);
-        let (nets, incident, w, h) = build_annealer(&lutnet);
-        let (pos, cells) = snake_state(packing.num_slices(), w, h);
-        let mut ann = Annealer::new(&nets, &incident, w, pos, cells);
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut total = ann.total_hpwl();
-        for i in 0..500 {
-            let (ca, cb) = draw_pair(&mut rng, w * h);
-            let delta = ann.propose(ca, cb);
-            if i % 3 != 0 {
-                ann.accept(ca, cb);
-                total += delta;
-                // The cached running total must match a from-scratch
-                // recomputation over the moved positions.
-                let fresh: f64 = nets
-                    .iter()
-                    .map(|n| NetBox::compute(n, &ann.pos).hpwl())
-                    .sum();
-                assert!(
-                    (total - fresh).abs() < 1e-6,
-                    "incremental total {total} diverged from fresh {fresh} at move {i}"
-                );
-                assert!((ann.total_hpwl() - fresh).abs() < 1e-6);
+        for (name, lutnet) in [("dense", dense_lutnet(70)), ("wide", wide_lutnet(120))] {
+            let packing = pack_slices(&lutnet, 4);
+            let (nets, incident, w, h) = build_annealer(&lutnet);
+            if name == "wide" {
+                assert!(nets.iter().any(Net::counted), "no net keeps edge counts");
+            }
+            let (pos, cells) = snake_state(packing.num_slices(), w, h);
+            let mut ann = Annealer::new(&nets, &incident, w, pos, cells);
+            assert_cache_exact(&ann, name);
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut total = ann.total_hpwl();
+            for i in 0..500 {
+                let (ca, cb) = draw_pair(&mut rng, w * h);
+                let delta = ann.propose(ca, cb);
+                if i % 3 != 0 {
+                    ann.accept(ca, cb);
+                    total += delta;
+                    // The cached running total must match a from-scratch
+                    // recomputation over the moved positions.
+                    let fresh: f64 = nets
+                        .iter()
+                        .map(|n| NetBox::compute(n, &ann.pos).hpwl())
+                        .sum();
+                    assert!(
+                        (total - fresh).abs() < 1e-6,
+                        "{name}: incremental total {total} diverged from fresh {fresh} at move {i}"
+                    );
+                    assert!((ann.total_hpwl() - fresh).abs() < 1e-6);
+                    assert_cache_exact(&ann, &format!("{name}, move {i}"));
+                }
             }
         }
+    }
+
+    #[test]
+    fn shift_pin_agrees_with_a_rescan() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let point = |rng: &mut StdRng| {
+            (
+                rng.gen_range(0..4usize) as f32,
+                rng.gen_range(0..4usize) as f32,
+            )
+        };
+        let (mut shifted, mut rescans) = (0, 0);
+        for _ in 0..4000 {
+            let k = rng.gen_range(1..7usize);
+            let pos: Vec<(f32, f32)> = (0..k).map(|_| point(&mut rng)).collect();
+            let net = Net {
+                slices: (0..k as u32).collect(),
+                pads: vec![(-1.0, 1.5)],
+            };
+            let (b, c) = NetBox::scan(&net, &pos, None);
+            let s = rng.gen_range(0..k) as u32;
+            let to = point(&mut rng);
+            let rescanned = NetBox::scan(&net, &pos, Some((s, to)));
+            match b.shift_pin(c, pos[s as usize], to) {
+                Some(got) => {
+                    assert_eq!(got, rescanned);
+                    shifted += 1;
+                }
+                None => {
+                    // An edge lost its last pin, so the box shrinks there.
+                    let nb = rescanned.0;
+                    assert!(
+                        nb.min_x > b.min_x
+                            || nb.max_x < b.max_x
+                            || nb.min_y > b.min_y
+                            || nb.max_y < b.max_y,
+                        "shift_pin gave up on {b:?} although no edge moves in"
+                    );
+                    rescans += 1;
+                }
+            }
+        }
+        assert!(
+            shifted > 0 && rescans > 0,
+            "{shifted} shifted, {rescans} rescans"
+        );
     }
 
     // ---- parallel mode ----
@@ -1195,6 +1468,28 @@ mod tests {
         for s in 0..packing.num_slices() {
             let pos = p.slice_pos(s as u32);
             assert!(seen.insert((pos.0 as i64, pos.1 as i64)));
+        }
+    }
+
+    #[test]
+    fn parallel_steps_keep_boxes_and_edge_counts_exact() {
+        let lutnet = wide_lutnet(200);
+        let packing = pack_slices(&lutnet, 4);
+        let (nets, incident, w, h) = build_annealer(&lutnet);
+        assert!(nets.iter().any(Net::counted), "no net keeps edge counts");
+        let (pos, cells) = snake_state(packing.num_slices(), w, h);
+        let mut ann = Annealer::new(&nets, &incident, w, pos, cells);
+        let mut shards = Shards::new(&ann, h, effective_shards(3, w, h));
+        assert!(shards.bands.len() > 1, "test needs a real multi-band grid");
+        let mut t = 20.0;
+        for step in 0..8 {
+            shards.step(&mut ann, 42, step, t, 400);
+            let what = format!("step {step}");
+            assert_cache_exact(&ann, &format!("{what}, merged"));
+            for (k, worker) in shards.workers.iter().enumerate() {
+                assert_cache_exact(worker, &format!("{what}, shard {k}"));
+            }
+            t *= COOLING;
         }
     }
 

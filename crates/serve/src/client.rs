@@ -49,9 +49,9 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> io::Result<()> {
-        let line = encode_request(req);
+        let mut line = encode_request(req);
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
         self.writer.flush()
     }
 

@@ -37,9 +37,16 @@ impl Endpoint {
     }
 
     /// Connects a client (or the shutdown self-wake) to this endpoint.
+    /// TCP connections disable Nagle's algorithm: every message is one
+    /// short line that waits for its reply, so batching it behind the
+    /// peer's delayed ACK would only add latency.
     pub fn connect(&self) -> io::Result<Conn> {
         match self {
-            Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Conn::Tcp),
+            Endpoint::Tcp(addr) => {
+                let stream = TcpStream::connect(addr.as_str())?;
+                stream.set_nodelay(true)?;
+                Ok(Conn::Tcp(stream))
+            }
             Endpoint::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
         }
     }
@@ -138,10 +145,15 @@ impl AnyListener {
         }
     }
 
-    /// Accepts the next connection.
+    /// Accepts the next connection (TCP ones with Nagle's algorithm
+    /// off, as in [`Endpoint::connect`]).
     pub fn accept(&self) -> io::Result<Conn> {
         match self {
-            AnyListener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            AnyListener::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                stream.set_nodelay(true)?;
+                Ok(Conn::Tcp(stream))
+            }
             AnyListener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
         }
     }
@@ -179,6 +191,20 @@ mod tests {
         // And the resolved endpoint is connectable.
         let client = resolved.connect().unwrap();
         let _served = listener.accept().unwrap();
+        client.shutdown().unwrap();
+    }
+
+    #[test]
+    fn tcp_connections_disable_nagle_on_both_ends() {
+        let (listener, resolved) = AnyListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let client = resolved.connect().unwrap();
+        let served = listener.accept().unwrap();
+        for conn in [&client, &served] {
+            let Conn::Tcp(stream) = conn else {
+                panic!("tcp endpoint gave {conn:?}");
+            };
+            assert!(stream.nodelay().unwrap());
+        }
         client.shutdown().unwrap();
     }
 }

@@ -541,9 +541,12 @@ fn read_bounded(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> bool {
 }
 
 fn write_line(out: &Arc<Mutex<Conn>>, line: &str) {
+    // The line and its newline go out in one write, so one segment.
+    let mut bytes = Vec::with_capacity(line.len() + 1);
+    bytes.extend_from_slice(line.as_bytes());
+    bytes.push(b'\n');
     let mut conn = out.lock().expect("connection writer poisoned");
     // A vanished client is its own problem; the daemon carries on.
-    let _ = conn.write_all(line.as_bytes());
-    let _ = conn.write_all(b"\n");
+    let _ = conn.write_all(&bytes);
     let _ = conn.flush();
 }
